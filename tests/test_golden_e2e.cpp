@@ -316,6 +316,77 @@ TEST(GoldenE2E, CongestedTimingFixtureAndSlackClaims) {
       << "congested timing document diverged from the fixture";
 }
 
+// ---------------------------------------------------------------------
+// Quarter-size Test1 (375 nets on 85²): large enough that cut rejects
+// split hard classes on removal, flips span many OCG components, and
+// repair re-routes nets -- the per-net router paths a byte-identity claim
+// about rip-up, flipping and the cut check has to cover. One
+// configuration only (threads 1, default tiling) to keep the suite fast.
+std::string quarterTest1Doc() {
+  setParallelThreads(1);
+  BenchmarkInstance inst = makeBenchmark(paperBenchmark("Test1").scaled(0.25));
+  OverlayAwareRouter router(inst.grid, inst.netlist);
+  const RoutingStats stats = router.run();
+  const OverlayReport phys = router.physicalReport();
+  // FNV-1a over every net's path and per-layer colors pins the routes and
+  // the coloring, not only what the masks make of them.
+  std::uint64_t routes = 1469598103934665603ull;
+  const auto mix = [&routes](std::int64_t v) {
+    routes = (routes ^ std::uint64_t(v)) * 1099511628211ull;
+  };
+  for (const Net& net : inst.netlist.nets) {
+    const NetRouteState& st = router.netStates()[std::size_t(net.id)];
+    mix(st.routed);
+    mix(std::int64_t(st.path.size()));
+    for (const GridNode& n : st.path) {
+      mix(n.x);
+      mix(n.y);
+      mix(n.layer);
+    }
+    for (int layer = 0; layer < inst.grid.layers(); ++layer)
+      mix(int(router.model().colorOf(net.id, layer)));
+  }
+  std::ostringstream doc;
+  doc << "nets=" << inst.netlist.size() << " routed=" << stats.routedNets
+      << " wirelength=" << stats.wirelength << " vias=" << stats.vias
+      << " ripups=" << stats.ripUps
+      << " overlay_units=" << router.model().totalOverlayUnits()
+      << " overlayNm=" << phys.sideOverlayNm
+      << " conflicts=" << phys.cutConflicts() << " hard=" << phys.hardOverlays
+      << " routes=" << hex16(routes) << "\n";
+  for (int layer = 0; layer < inst.grid.layers(); ++layer) {
+    const LayerDecomposition d = router.decompose(layer);
+    doc << "layer " << layer << " target=" << hex16(fingerprint(d.target))
+        << " core=" << hex16(fingerprint(d.coreMask))
+        << " spacer=" << hex16(fingerprint(d.spacer))
+        << " cut=" << hex16(fingerprint(d.cut))
+        << " assists=" << hex16(fingerprint(d.assists))
+        << " bridges=" << hex16(fingerprint(d.bridges)) << "\n";
+  }
+  setParallelThreads(0);
+  return doc.str();
+}
+
+TEST(GoldenE2E, QuarterScaleTest1Fixture) {
+  const std::string path =
+      std::string(SADP_GOLDEN_DIR) + "/test1_s025.golden";
+  const std::string fresh = quarterTest1Doc();
+  if (std::getenv("SADP_UPDATE_GOLDEN")) {
+    std::ofstream f(path, std::ios::binary);
+    ASSERT_TRUE(f) << "cannot write " << path;
+    f << fresh;
+    ASSERT_TRUE(bool(f)) << "short write to " << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream f(path, std::ios::binary);
+  ASSERT_TRUE(f) << "missing fixture " << path
+                 << " -- regenerate with SADP_UPDATE_GOLDEN=1";
+  std::stringstream buf;
+  buf << f.rdbuf();
+  EXPECT_EQ(fresh, buf.str())
+      << "quarter-scale Test1 document diverged from the fixture";
+}
+
 TEST(GoldenE2E, SkewedDensityFixtureInvariantToSchedule) {
   const std::string path =
       std::string(SADP_GOLDEN_DIR) + "/skewed_layer.golden";
