@@ -421,8 +421,11 @@ class JsonCollector : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& report) override {
     for (const Run& r : report) {
       if (r.error_occurred) continue;
-      results_.push_back({r.benchmark_name(), r.GetAdjustedRealTime(),
-                          r.GetAdjustedCPUTime()});
+      // Adjusted times come in each benchmark's own display unit (ms for
+      // the ->Unit(kMillisecond) routes); the file is ns throughout.
+      const double toNs = 1e9 / benchmark::GetTimeUnitMultiplier(r.time_unit);
+      results_.push_back({r.benchmark_name(), r.GetAdjustedRealTime() * toNs,
+                          r.GetAdjustedCPUTime() * toNs});
     }
     benchmark::ConsoleReporter::ReportRuns(report);
   }

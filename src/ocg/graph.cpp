@@ -52,8 +52,8 @@ int OverlayConstraintGraph::hardRelationOf(const Classification& cls) const {
 void OverlayConstraintGraph::recountDiffViolations() {
   // k >= 3 invariant: hardViolations_ == number of alive must-differ edges
   // whose endpoints landed in the same equality class. Unlike the k == 2
-  // monotone counter this is recomputable, which removeNet's rebuild and
-  // class merges rely on.
+  // count (kept per edge through OcgEdge::contradicted) this is
+  // recomputable, which removeNet's rebuild and class merges rely on.
   int n = 0;
   for (std::uint32_t ei : diffEdges_) {
     const OcgEdge& e = edges_[ei];
@@ -130,6 +130,7 @@ bool OverlayConstraintGraph::addScenario(NetId a, NetId b,
   // Colors of merged classes are reconciled lazily: classColorOf() reads
   // through the root, and pseudoColor()/flipping rewrite class colors.
   if (!hard_.unite(u, v, rel)) {
+    edges_[ei].contradicted = true;
     ++hardViolations_;
     return false;
   }
@@ -156,6 +157,7 @@ void OverlayConstraintGraph::removeNet(NetId net) {
     OcgEdge& e = edges_[ei];
     if (!e.alive) continue;
     e.alive = false;
+    if (e.contradicted) --hardViolations_;
     removedHard |= (k_ == 2) ? e.hard() : hardRelationOf(e.cls) >= 0;
     const std::uint32_t other = (e.u == v) ? e.v : e.u;
     auto& oadj = adj_[other];
@@ -163,9 +165,11 @@ void OverlayConstraintGraph::removeNet(NetId net) {
   }
   adj_[v].clear();
   if (removedHard) {
-    // The rebuild re-roots every class and transfers colors through the
-    // snapshot, so the removed vertex's (possibly root) entry is handled.
-    rebuildHardStructure();
+    // Only v's class can split: every other class keeps its edges, so the
+    // rebuild is local to it and re-roots v's (possibly root) entry too.
+    auto node = classMembers_.extract(std::uint32_t(hard_.find(v).first));
+    rebuildClass(node ? std::move(node.mapped())
+                      : std::vector<std::uint32_t>{v});
   } else {
     // Without hard edges the vertex is a singleton class; dropping its
     // color entry cannot affect anyone else.
@@ -173,51 +177,58 @@ void OverlayConstraintGraph::removeNet(NetId net) {
   }
 }
 
-void OverlayConstraintGraph::rebuildHardStructure() {
-  // Preserve vertex colors across the rebuild: the class representative
-  // may change, so snapshot per-vertex colors first.
-  std::vector<Color> snapshot(nets_.size(), Color::Unassigned);
-  for (std::uint32_t v = 0; v < nets_.size(); ++v) {
-    snapshot[v] = classColorOf(v);
-  }
-  hard_.clear();
-  hard_.ensure(nets_.size() == 0 ? 0 : nets_.size() - 1);
-  classColor_.clear();
-  hardViolations_ = 0;
-  if (k_ == 2) {
-    for (const OcgEdge& e : edges_) {
-      if (!e.alive || !e.hard()) continue;
-      const std::optional<std::uint8_t> rel = hardParity(e.cls);
-      if (!rel) continue;
-      if (!hard_.unite(e.u, e.v, *rel)) ++hardViolations_;
-    }
-  } else {
-    diffEdges_.clear();
-    for (std::uint32_t ei = 0; ei < edges_.size(); ++ei) {
+void OverlayConstraintGraph::rebuildClass(std::vector<std::uint32_t> members) {
+  // Invariant that makes this equal a whole-graph rebuild: every class's
+  // DSU roots, parities and ranks are its alive hard edges united in
+  // ascending edge index from singletons (addScenario appends in index
+  // order; path halving moves no root or parity), and no other class's
+  // edge touches these members.
+  std::sort(members.begin(), members.end());
+  // Preserve vertex colors across the rebuild: the class may split and
+  // re-root, so snapshot per-vertex colors first.
+  std::vector<Color> snapshot(members.size());
+  std::vector<std::uint32_t> classEdges;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    snapshot[i] = classColorOf(members[i]);
+    for (std::uint32_t ei : adj_[members[i]]) {
       const OcgEdge& e = edges_[ei];
-      if (!e.alive) continue;
-      const int rel = hardRelationOf(e.cls);
-      if (rel == 0) {
-        hard_.unite(e.u, e.v, 0);
-      } else if (rel == 1) {
-        diffEdges_.push_back(ei);
-      }
+      if (e.alive && hardRelationOf(e.cls) >= 0) classEdges.push_back(ei);
     }
   }
-  classMembers_.clear();
-  for (std::uint32_t v = 0; v < nets_.size(); ++v) {
-    auto [root, par] = hard_.find(v);
-    classMembers_[std::uint32_t(root)].push_back(v);
-    (void)par;
+  std::sort(classEdges.begin(), classEdges.end());
+  classEdges.erase(std::unique(classEdges.begin(), classEdges.end()),
+                   classEdges.end());
+  for (std::uint32_t w : members) {
+    hard_.reset(w);
+    classColor_.erase(w);
   }
-  for (std::uint32_t v = 0; v < nets_.size(); ++v) {
-    if (snapshot[v] == Color::Unassigned) continue;
-    auto [root, par] = hard_.find(v);
-    const Color rootColor =
-        par ? flippedColor(snapshot[v]) : snapshot[v];
+  for (std::uint32_t ei : classEdges) {
+    OcgEdge& e = edges_[ei];
+    const int rel = hardRelationOf(e.cls);
+    if (k_ > 2) {
+      // Must-differ edges stay on the side list; only equality merges.
+      if (rel == 0) hard_.unite(e.u, e.v, 0);
+      continue;
+    }
+    if (e.contradicted) --hardViolations_;
+    e.contradicted = !hard_.unite(e.u, e.v, std::uint8_t(rel));
+    if (e.contradicted) ++hardViolations_;
+  }
+  for (std::uint32_t w : members) {
+    classMembers_[std::uint32_t(hard_.find(w).first)].push_back(w);
+  }
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (snapshot[i] == Color::Unassigned) continue;
+    auto [root, par] = hard_.find(members[i]);
+    const Color rootColor = par ? flippedColor(snapshot[i]) : snapshot[i];
     classColor_[std::uint32_t(root)] = rootColor;  // last write wins
   }
-  if (k_ > 2) recountDiffViolations();
+  if (k_ > 2) {
+    // The must-differ list is recounted whole; dead edges leave it here.
+    std::erase_if(diffEdges_,
+                  [&](std::uint32_t ei) { return !edges_[ei].alive; });
+    recountDiffViolations();
+  }
 }
 
 Color OverlayConstraintGraph::classColorOf(std::uint32_t vertex) const {

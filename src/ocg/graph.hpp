@@ -30,6 +30,9 @@ struct OcgEdge {
   std::uint32_t v = 0;
   Classification cls;
   bool alive = true;
+  /// k == 2 parity edges only: the edge's unite failed (it closes a hard
+  /// odd cycle). hardViolations_ counts the alive edges with this set.
+  bool contradicted = false;
 
   bool hard() const { return cls.hard(); }
 };
@@ -75,8 +78,9 @@ class OverlayConstraintGraph {
   /// recorded so removeNet() can undo it, but the graph is flagged.
   bool addScenario(NetId a, NetId b, const Classification& cls);
 
-  /// Removes every edge incident to a net (rip-up) and rebuilds the hard
-  /// parity structure from the surviving edges.
+  /// Removes every edge incident to a net (rip-up). When a hard edge goes,
+  /// only the net's own hard class can split, so only that class is
+  /// rebuilt from its surviving edges (see rebuildClass).
   void removeNet(NetId net);
 
   /// True if some hard odd cycle is currently present.
@@ -144,7 +148,12 @@ class OverlayConstraintGraph {
 
  private:
   std::int64_t costOfAssignment(const OcgEdge& e, Color cu, Color cv) const;
-  void rebuildHardStructure();
+  /// Rebuilds the hard class whose members are `members` (the class of a
+  /// vertex whose incident edges were just killed): resets those elements
+  /// to singletons, re-unites the class's alive hard edges in ascending
+  /// edge index, and re-roots colors and member lists. The result equals a
+  /// whole-graph rebuild (DESIGN.md §5.4).
+  void rebuildClass(std::vector<std::uint32_t> members);
   Color classColorOf(std::uint32_t vertex) const;
   /// k >= 3 only: recounts must-differ hard edges whose endpoints share an
   /// equality class (each one is a hard-overlay violation).

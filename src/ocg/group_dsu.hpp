@@ -106,10 +106,14 @@ class GroupDsu {
     return ru == rv && deltaDiff(dv, du) != rel;
   }
 
-  void clear() {
-    link_.clear();
-    rank_.clear();
+  /// Makes an existing element a singleton again (self-parent, delta 0,
+  /// rank 0). Only sound when every element of v's class is reset in the
+  /// same step: no other element may still link to v.
+  void reset(std::size_t v) {
+    link_[v] = std::uint32_t(v) << kDeltaBits;
+    rank_[v] = 0;
   }
+
   std::size_t size() const { return link_.size(); }
 
  private:

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory_resource>
+#include <span>
+#include <unordered_map>
 
 #include "ocg/overlay_model.hpp"
 #include "run/run_context.hpp"
@@ -58,7 +59,9 @@ ReducedGraph reduceGraph(const OverlayConstraintGraph& g) {
       rg.selfCost[rg.classIndexOfVertex[v]][c] += g.priorOf(v, vc);
     }
   }
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> pairIndex;
+  // Class pair -> reduced edge. Lookup only: reduced edges are numbered in
+  // first-seen order, so the container's iteration order never matters.
+  std::unordered_map<std::uint64_t, std::size_t> pairIndex;
   for (const OcgEdge& e : g.edges()) {
     if (!e.alive) continue;
     const std::uint32_t cu = rg.classIndexOfVertex[e.u];
@@ -75,7 +78,8 @@ ReducedGraph reduceGraph(const OverlayConstraintGraph& g) {
     const std::uint8_t pv = rg.parityOfVertex[e.v];
     const bool ordered = cu < cv;
     const auto key = ordered ? std::make_pair(cu, cv) : std::make_pair(cv, cu);
-    auto [it, inserted] = pairIndex.try_emplace(key, rg.edges.size());
+    auto [it, inserted] = pairIndex.try_emplace(
+        std::uint64_t(key.first) << 32 | key.second, rg.edges.size());
     if (inserted) {
       ReducedEdge re;
       re.u = key.first;
@@ -161,20 +165,24 @@ std::int64_t edgeCostUnder(const ReducedEdge& e, Color cu, Color cv) {
 
 }  // namespace
 
-std::vector<Color> treeDpAssign(const ReducedGraph& rg,
-                                const std::vector<std::size_t>& treeEdges,
-                                std::size_t rootClass) {
-  std::vector<Color> out(rg.classCount(), Color::Unassigned);
-  // Every DP table below is scratch bump-allocated from the run's arena;
-  // the scope rewind reclaims it wholesale (DESIGN.md §5.9).
-  Arena& arena = RunContext::current().scratchArena();
-  ArenaScope scope(arena);
-  // Adjacency over tree edges.
-  std::pmr::unordered_map<std::uint32_t, std::pmr::vector<std::size_t>> adj(
-      &arena);
+namespace {
+
+/// Eq. (4) tree DP over one component, on component-local class indices
+/// (`localOf` maps a class to its index in `classes`, the component's
+/// sorted class list). Tree adjacency keeps `treeEdges` order and the DFS
+/// pops children in reverse push order, so traversal and tie-breaks are a
+/// function of the component alone. Returns the colors by local index;
+/// every table, the result included, is O(component) and lives in `arena`.
+std::pmr::vector<Color> treeDp(const ReducedGraph& rg,
+                               std::span<const std::size_t> treeEdges,
+                               std::span<const std::uint32_t> classes,
+                               const std::uint32_t* localOf,
+                               std::uint32_t root, Arena& arena) {
+  const std::size_t n = classes.size();
+  std::pmr::vector<std::pmr::vector<std::size_t>> adj(n, &arena);
   for (std::size_t ei : treeEdges) {
-    adj[rg.edges[ei].u].push_back(ei);
-    adj[rg.edges[ei].v].push_back(ei);
+    adj[localOf[rg.edges[ei].u]].push_back(ei);
+    adj[localOf[rg.edges[ei].v]].push_back(ei);
   }
   // Iterative DFS order from the root.
   struct Visit {
@@ -184,8 +192,8 @@ std::vector<Color> treeDpAssign(const ReducedGraph& rg,
   };
   std::pmr::vector<Visit> order(&arena);
   std::pmr::vector<Visit> stack(&arena);
-  stack.push_back({std::uint32_t(rootClass), std::uint32_t(-1), 0});
-  std::pmr::vector<char> seen(rg.classCount(), 0, &arena);
+  stack.push_back({root, std::uint32_t(-1), 0});
+  std::pmr::vector<char> seen(n, 0, &arena);
   while (!stack.empty()) {
     Visit v = stack.back();
     stack.pop_back();
@@ -194,28 +202,28 @@ std::vector<Color> treeDpAssign(const ReducedGraph& rg,
     order.push_back(v);
     for (std::size_t ei : adj[v.node]) {
       const ReducedEdge& e = rg.edges[ei];
-      const std::uint32_t next = (e.u == v.node) ? e.v : e.u;
+      const std::uint32_t next = localOf[e.u] == v.node ? localOf[e.v]
+                                                        : localOf[e.u];
       if (!seen[next]) stack.push_back({next, v.node, ei});
     }
   }
   // Bottom-up DP, eq. (4): cost[node][c] = selfCost[node][c] + sum over
   // children of min_p (cost[child][p] + edgeCost(c, p)).
-  std::pmr::vector<std::array<std::int64_t, 2>> cost(
-      rg.selfCost.begin(), rg.selfCost.end(), &arena);
-  cost.resize(rg.classCount(), {0, 0});
+  std::pmr::vector<std::array<std::int64_t, 2>> cost(n, &arena);
+  for (std::size_t i = 0; i < n; ++i) cost[i] = rg.selfCost[classes[i]];
   // childBest[childNode][parentColor] = chosen child color
   std::pmr::vector<std::array<Color, 2>> childBest(
-      rg.classCount(), {Color::Unassigned, Color::Unassigned}, &arena);
+      n, {Color::Unassigned, Color::Unassigned}, &arena);
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const Visit& v = *it;
     if (v.parent == std::uint32_t(-1)) continue;
     const ReducedEdge& e = rg.edges[v.parentEdge];
+    const bool parentIsU = localOf[e.u] == v.parent;
     for (int pc = 0; pc < 2; ++pc) {
       std::int64_t best = -1;
       Color bestColor = Color::Core;
       for (int cc = 0; cc < 2; ++cc) {
         // Edge cost with the parent's color on the parent endpoint.
-        const bool parentIsU = (e.u == v.parent);
         const int idx = parentIsU ? pc * 2 + cc : cc * 2 + pc;
         const std::int64_t total = cost[v.node][cc] + e.cost[idx];
         if (best < 0 || total < best) {
@@ -228,8 +236,8 @@ std::vector<Color> treeDpAssign(const ReducedGraph& rg,
     }
   }
   // Backtrace from the root.
-  const int rootColor = cost[rootClass][0] <= cost[rootClass][1] ? 0 : 1;
-  out[rootClass] = Color(rootColor);
+  std::pmr::vector<Color> out(n, Color::Unassigned, &arena);
+  out[root] = Color(cost[root][0] <= cost[root][1] ? 0 : 1);
   for (const Visit& v : order) {
     if (v.parent == std::uint32_t(-1)) continue;
     const Color pc = out[v.parent];
@@ -238,6 +246,8 @@ std::vector<Color> treeDpAssign(const ReducedGraph& rg,
   }
   return out;
 }
+
+}  // namespace
 
 FlipStats colorFlip(OverlayConstraintGraph& g) {
   FlipStats stats;
@@ -255,6 +265,10 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
     edgesOfComp[comp.find(rg.edges[ei].u)].push_back(ei);
   }
 
+  // Component-local class index, so every per-component table below is
+  // sized by the component, not the layer. Each class belongs to one
+  // component, so entries are written once and never need resetting.
+  std::uint32_t* localOf = arena.allocArray<std::uint32_t>(rg.classCount());
   std::vector<Color> newColors = rg.classColor;  // start from current
   for (auto& [root, compEdges] : edgesOfComp) {
     ++stats.components;
@@ -280,8 +294,9 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
       }
       return rg.selfCost[c][int(col)];
     };
-    for (std::uint32_t c : compClasses) {
-      before += selfCostUnder(c, rg.classColor[c]);
+    for (std::size_t i = 0; i < compClasses.size(); ++i) {
+      localOf[compClasses[i]] = std::uint32_t(i);
+      before += selfCostUnder(compClasses[i], rg.classColor[compClasses[i]]);
     }
     stats.costBefore += before;
 
@@ -293,27 +308,31 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
     std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
       return rg.edges[a].weight > rg.edges[b].weight;
     });
-    Dsu mst(arena, rg.classCount());
+    Dsu mst(arena, compClasses.size());
     std::vector<std::size_t> treeEdges;
     for (std::size_t ei : sorted) {
-      if (mst.unite(rg.edges[ei].u, rg.edges[ei].v)) treeEdges.push_back(ei);
+      if (mst.unite(localOf[rg.edges[ei].u], localOf[rg.edges[ei].v])) {
+        treeEdges.push_back(ei);
+      }
     }
 
-    std::vector<Color> dp = treeDpAssign(rg, treeEdges, root);
+    const std::pmr::vector<Color> dp =
+        treeDp(rg, treeEdges, compClasses, localOf, localOf[root], arena);
     // True component cost under the DP coloring (non-tree edges included).
     std::int64_t after = 0;
     for (std::size_t ei : compEdges) {
       const ReducedEdge& e = rg.edges[ei];
-      after += edgeCostUnder(e, dp[e.u], dp[e.v]);
+      after += edgeCostUnder(e, dp[localOf[e.u]], dp[localOf[e.v]]);
     }
-    for (std::uint32_t c : compClasses) after += selfCostUnder(c, dp[c]);
+    for (std::size_t i = 0; i < compClasses.size(); ++i) {
+      after += selfCostUnder(compClasses[i], dp[i]);
+    }
     if (after <= before || anyUncolored) {
       bool changed = false;
-      for (std::size_t c = 0; c < rg.classCount(); ++c) {
-        if (dp[c] != Color::Unassigned && dp[c] != newColors[c]) {
-          changed = true;
-        }
-        if (dp[c] != Color::Unassigned) newColors[c] = dp[c];
+      for (std::size_t i = 0; i < compClasses.size(); ++i) {
+        if (dp[i] == Color::Unassigned) continue;
+        changed |= dp[i] != newColors[compClasses[i]];
+        newColors[compClasses[i]] = dp[i];
       }
       stats.costAfter += after;
       if (changed && after < before) ++stats.componentsImproved;

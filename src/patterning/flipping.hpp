@@ -12,6 +12,14 @@
 //      into a Core and a Second copy; a bottom-up pass computes optimal
 //      subtree costs, and a backtrace fixes colors. O(V + E) per component.
 //
+// Cost of one colorFlip pass over a layer graph with V vertices, E alive
+// edges, C classes and E' reduced edges: O(V + E) for the reduction and
+// the color write-back, O(C + E') to find the components, and for a
+// component with C_k classes and E'_k reduced edges O(E'_k log E'_k) for
+// its Kruskal sort plus O(C_k + E'_k) for the DP. Every per-component
+// table is indexed by the component's own classes, so a pass never pays
+// O(C) per component.
+//
 // Engineering addition (documented in DESIGN.md): because the DP is only
 // optimal when the component is a tree, the new coloring of a component is
 // kept only if it does not increase that component's true cost including
@@ -76,12 +84,5 @@ FlipStats colorFlip(OverlayConstraintGraph& g);
 /// Convenience: flips every layer of an overlay model; returns summed stats.
 class OverlayModel;
 FlipStats colorFlipAll(OverlayModel& model);
-
-/// Exposed for tests: optimal DP assignment for one component given by
-/// tree edges (indices into `rg.edges`). Returns per-class colors for the
-/// classes present in the component (others Unassigned).
-std::vector<Color> treeDpAssign(const ReducedGraph& rg,
-                                const std::vector<std::size_t>& treeEdges,
-                                std::size_t rootClass);
 
 }  // namespace sadp

@@ -75,6 +75,12 @@ FixedCostScale deriveFixedCostScale(const AStarParams& p);
 
 /// Sparse additive penalty field over grid nodes (rip-up cost increase and
 /// the T2b risk field). Values accumulate; negative deltas allowed.
+///
+/// clear() costs O(cells written since the last clear), not O(grid): add()
+/// logs every cell it writes while that cell reads zero, so the log covers
+/// every nonzero cell. Once the log would pass 1/kDenseFraction of the
+/// grid it stops growing and clear() falls back to one full fill
+/// (DESIGN.md §5.9).
 class PenaltyField {
  public:
   explicit PenaltyField(const RoutingGrid& grid)
@@ -82,7 +88,15 @@ class PenaltyField {
 
   void add(const GridNode& n, float delta) {
     if (!grid_->inBounds(n)) return;
-    float& v = values_[grid_->index(n)];
+    const std::size_t idx = grid_->index(n);
+    float& v = values_[idx];
+    if (v == 0.0f && !dense_) {
+      if (touched_.size() < values_.size() / kDenseFraction) {
+        touched_.push_back(std::uint32_t(idx));
+      } else {
+        dense_ = true;
+      }
+    }
     const bool wasNeg = v < 0.0f;
     v += delta;
     negCount_ += static_cast<int>(v < 0.0f) - static_cast<int>(wasNeg);
@@ -94,7 +108,13 @@ class PenaltyField {
   /// the replay hot path.
   float atIndex(std::size_t idx) const { return values_[idx]; }
   void clear() {
-    std::fill(values_.begin(), values_.end(), 0.0f);
+    if (dense_) {
+      std::fill(values_.begin(), values_.end(), 0.0f);
+    } else {
+      for (const std::uint32_t idx : touched_) values_[idx] = 0.0f;
+    }
+    touched_.clear();
+    dense_ = false;
     negCount_ = 0;
     maxSeen_ = 0.0f;
   }
@@ -108,8 +128,16 @@ class PenaltyField {
   float maxSeen() const { return maxSeen_; }
 
  private:
+  /// The write log may cover 1/kDenseFraction of the grid before clear()
+  /// switches to a full fill.
+  static constexpr std::size_t kDenseFraction = 8;
+
   const RoutingGrid* grid_;
   std::vector<float> values_;
+  /// Cells written while reading zero since the last clear (may repeat a
+  /// cell that returned to zero); only meaningful while !dense_.
+  std::vector<std::uint32_t> touched_;
+  bool dense_ = false;  ///< log overflowed: clear() fills every cell
   std::int64_t negCount_ = 0;
   float maxSeen_ = 0.0f;
 };

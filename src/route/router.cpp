@@ -523,14 +523,23 @@ int OverlayAwareRouter::resolveCutConflicts(const Net& net) {
       }
       return n;
     };
-    const int baseline = nearOwn(
-        *decomposeLayerShared(windowFrags(false), grid_->rules(),
-                              internalDecomposeOpts()));
+    // The baseline is decomposed only when a probe finds a box near the
+    // net: max(0, near - baseline) is 0 whenever near is. Its fragments
+    // are captured now, under the pre-probe colors, because a probe's
+    // setColor recolors the net's whole hard class.
+    const std::vector<ColoredFragment> baselineFrags = windowFrags(false);
+    int baseline = -1;
     auto conflictsUnder = [&](Color c) {
       g.setColor(net.id, c);
       const auto d = decomposeLayerShared(
           windowFrags(true), grid_->rules(), internalDecomposeOpts());
-      return std::max(0, nearOwn(*d) - baseline);
+      const int near = nearOwn(*d);
+      if (near == 0) return 0;
+      if (baseline < 0) {
+        baseline = nearOwn(*decomposeLayerShared(
+            baselineFrags, grid_->rules(), internalDecomposeOpts()));
+      }
+      return std::max(0, near - baseline);
     };
 
     const Color base = original == Color::Unassigned ? Color::Core : original;

@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace sadp {
@@ -140,6 +142,29 @@ std::optional<std::int64_t> intField(const JsonValue& req,
   const JsonValue* v = req.find(key);
   if (v == nullptr || !v->isInt()) return std::nullopt;
   return v->asInt();
+}
+
+/// Upper bound for fields that are only bounded below (int-sized).
+constexpr std::int64_t kNoMax = std::numeric_limits<int>::max();
+
+/// An optional integer field that must lie in [lo, hi] when present. A
+/// present value of another type or out of range is an error naming the
+/// field and its range: a typo'd load must not silently route with the
+/// default instead.
+bool rangedIntField(const JsonValue& req, std::string_view key,
+                    std::int64_t lo, std::int64_t hi,
+                    std::optional<std::int64_t>* out, std::string* msg) {
+  const JsonValue* v = req.find(key);
+  if (v == nullptr) return true;
+  if (!v->isInt() || v->asInt() < lo || v->asInt() > hi) {
+    *msg = std::string(key) + " must be an integer " +
+           (hi == kNoMax ? ">= " + std::to_string(lo)
+                         : "in " + std::to_string(lo) + ".." +
+                               std::to_string(hi));
+    return false;
+  }
+  *out = v->asInt();
+  return true;
 }
 
 }  // namespace
@@ -540,13 +565,23 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
     spec.netCount = int(*nets);
     spec.width = Track(*width);
     spec.height = Track(*height);
-    if (const auto v = intField(req, "layers"); v && *v >= 1 && *v <= 16) {
-      spec.layers = int(*v);
+    std::optional<std::int64_t> layers, pinCandidates;
+    std::string msg;
+    if (!rangedIntField(req, "layers", 1, 16, &layers, &msg) ||
+        !rangedIntField(req, "pin_candidates", 1, kNoMax, &pinCandidates,
+                        &msg)) {
+      *errCode = "bad_request";
+      return errResp(&req, "bad_request", msg);
     }
+    if (layers) spec.layers = int(*layers);
     if (const auto v = intField(req, "seed")) spec.seed = std::uint64_t(*v);
-    if (const auto v = intField(req, "pin_candidates"); v && *v >= 1) {
-      spec.pinCandidates = int(*v);
-    }
+    if (pinCandidates) spec.pinCandidates = int(*pinCandidates);
+  }
+  std::optional<std::int64_t> threads;
+  if (std::string msg;
+      !rangedIntField(req, "threads", 1, kNoMax, &threads, &msg)) {
+    *errCode = "bad_request";
+    return errResp(&req, "bad_request", msg);
   }
 
   // {"cache":false} opts the session out of the shared MaskCache -- the
@@ -620,9 +655,7 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
     routerOpts.historyIncrement = float(v->asDouble());
   }
   auto session = std::make_shared<Session>(name, spec, cache, routerOpts);
-  if (const auto v = intField(req, "threads"); v && *v > 0) {
-    session->setThreads(int(*v));
-  }
+  if (threads) session->setThreads(int(*threads));
   {
     std::lock_guard<std::mutex> lk(sessionsMu_);
     if (sessions_.count(name) != 0) {

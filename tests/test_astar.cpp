@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 namespace sadp {
 namespace {
 
@@ -162,6 +165,60 @@ TEST(AStar, ViaCostCounted) {
                        AStarParams{});
   ASSERT_TRUE(res.has_value());
   EXPECT_GE(res->vias, 2);
+}
+
+// PenaltyField clears only the cells it wrote since the last clear, and
+// falls back to a full fill once that log passes a fraction of the grid.
+// A dense model replays the same float additions; after every add the
+// summaries must agree, and after every clear the field must read as new.
+TEST(PenaltyField, SparseAndDenseClearsMatchAFreshField) {
+  RoutingGrid g = makeGrid(20, 20, 3);
+  const std::size_t nodes = g.nodeCount();
+  PenaltyField f(g);
+  std::mt19937 rng(2024);
+  std::vector<float> model(nodes, 0.0f);
+  int denseRounds = 0;
+  for (int round = 0; round < 60; ++round) {
+    // Alternate sparse rounds (a few dozen writes) with rounds writing
+    // more distinct cells than the log holds (nodes / 8).
+    const bool dense = round % 3 == 2;
+    const int writes = dense ? int(nodes) : int(rng() % 60);
+    std::size_t distinct = 0;
+    std::vector<char> written(nodes, 0);
+    float maxSeen = 0.0f;  // largest value held since the last clear
+    for (int i = 0; i < writes; ++i) {
+      GridNode n{Track(rng() % 22) - 1, Track(rng() % 22) - 1,
+                 std::int16_t(rng() % 3)};  // some writes fall off the grid
+      if (!dense && i % 2 == 1) n = {3, 4, 1};  // a hot cell
+      float delta = float(int(rng() % 9) - 4) * 0.5f;
+      if (g.inBounds(n)) {
+        const std::size_t idx = g.index(n);
+        // Every fourth write cancels the cell back to exactly zero.
+        if (i % 4 == 3) delta = -model[idx];
+        model[idx] += delta;
+        maxSeen = std::max(maxSeen, model[idx]);
+        if (!written[idx]) ++distinct;
+        written[idx] = 1;
+      }
+      f.add(n, delta);
+      const bool anyNeg = std::any_of(model.begin(), model.end(),
+                                      [](float v) { return v < 0.0f; });
+      ASSERT_EQ(f.hasNegative(), anyNeg) << "round " << round << " add " << i;
+    }
+    for (std::size_t idx = 0; idx < nodes; ++idx) {
+      ASSERT_EQ(f.atIndex(idx), model[idx]) << "round " << round;
+    }
+    ASSERT_EQ(f.maxSeen(), maxSeen) << "round " << round;
+    if (distinct > nodes / 8) ++denseRounds;
+    f.clear();
+    std::fill(model.begin(), model.end(), 0.0f);
+    for (std::size_t idx = 0; idx < nodes; ++idx) {
+      ASSERT_EQ(f.atIndex(idx), 0.0f) << "round " << round << " idx " << idx;
+    }
+    ASSERT_FALSE(f.hasNegative()) << "round " << round;
+    ASSERT_EQ(f.maxSeen(), 0.0f) << "round " << round;
+  }
+  EXPECT_EQ(denseRounds, 20);
 }
 
 }  // namespace

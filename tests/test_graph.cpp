@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <random>
+#include <unordered_map>
+
+#include "patterning/backend.hpp"
+
 namespace sadp {
 namespace {
 
@@ -175,6 +181,216 @@ TEST(Ocg, RemoveNetKeepsOtherColors) {
   EXPECT_EQ(g.colorOf(1), Color::Core);
   EXPECT_EQ(g.colorOf(3), Color::Second);
   EXPECT_EQ(g.colorOf(4), Color::Core);
+}
+
+// ---------------------------------------------------------------------
+// Removal equivalence: removeNet rebuilds only the removed vertex's hard
+// class. The reference below is the whole-graph rebuild removeNet used to
+// run on every hard removal -- fresh singletons, every alive hard edge
+// re-united in ascending edge index, colors carried through a per-vertex
+// snapshot (last write wins in ascending vertex order) -- re-derived from
+// the graph's public state. After every removal the class-local result
+// must match it exactly: roots, parities, colors and the violation flag.
+
+/// What the whole-graph rebuild leaves behind, per vertex.
+struct RebuildReference {
+  std::vector<std::pair<std::uint32_t, std::uint8_t>> classOf;
+  std::vector<Color> color;
+  bool violation = false;
+};
+
+std::optional<std::uint8_t> referenceParity(const Classification& cls) {
+  bool f[4];
+  for (int i = 0; i < 4; ++i) f[i] = cls.overlay[i] >= kHardCost;
+  if (f[0] && f[3] && !f[1] && !f[2]) return std::uint8_t(1);
+  if (f[1] && f[2] && !f[0] && !f[3]) return std::uint8_t(0);
+  return std::nullopt;
+}
+
+/// `snapshot` holds every vertex's color just before removeNet; the
+/// removed vertex's entry is already cleared when its removal took no
+/// hard edge (removeNet's non-hard path drops that color, and the rest of
+/// the structure cannot change).
+RebuildReference wholeGraphRebuild(const OverlayConstraintGraph& g,
+                                   const std::vector<Color>& snapshot) {
+  const std::size_t n = g.vertexCount();
+  GroupDsu<2> dsu;
+  if (n > 0) dsu.ensure(n - 1);
+  RebuildReference ref;
+  const PatterningSpec* spec = g.patterningSpec();
+  if (g.colorCount() == 2) {
+    for (const OcgEdge& e : g.edges()) {
+      if (!e.alive || !e.hard()) continue;
+      const std::optional<std::uint8_t> rel = referenceParity(e.cls);
+      if (rel && !dsu.unite(e.u, e.v, *rel)) ref.violation = true;
+    }
+  } else {
+    std::vector<const OcgEdge*> diff;
+    for (const OcgEdge& e : g.edges()) {
+      if (!e.alive) continue;
+      const int rel = spec->hardRelation(e.cls);
+      if (rel == 0) dsu.unite(e.u, e.v, 0);
+      if (rel == 1) diff.push_back(&e);
+    }
+    for (const OcgEdge* e : diff) {
+      if (dsu.find(e->u).first == dsu.find(e->v).first) ref.violation = true;
+    }
+  }
+  std::unordered_map<std::size_t, Color> rootColor;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    ref.classOf.emplace_back(std::uint32_t(dsu.find(v).first),
+                             dsu.find(v).second);
+    if (snapshot[v] == Color::Unassigned) continue;
+    auto [root, par] = dsu.find(v);
+    rootColor[root] = par ? flippedColor(snapshot[v]) : snapshot[v];
+  }
+  for (std::uint32_t v = 0; v < n; ++v) {
+    auto it = rootColor.find(ref.classOf[v].first);
+    const Color c = it == rootColor.end() ? Color::Unassigned : it->second;
+    ref.color.push_back(ref.classOf[v].second ? flippedColor(c) : c);
+  }
+  return ref;
+}
+
+/// A k = 3 spec with both hard relations, so equality classes actually
+/// merge and split (tpl3 itself has no must-same relation).
+int mixedHardRelation(const Classification& cls) {
+  return cls.type == ScenarioType::T1b   ? 0
+         : cls.type == ScenarioType::T1a ? 1
+                                         : -1;
+}
+std::int64_t mixedPairOverlay(const Classification& cls, int ia, int ib) {
+  const int rel = mixedHardRelation(cls);
+  if (rel == 0) return ia == ib ? 0 : kHardCost;
+  if (rel == 1) return ia == ib ? kHardCost : 0;
+  return ia == ib ? 1 : 0;
+}
+bool mixedMaterial(const Classification& cls) { return !cls.independent(); }
+const PatterningSpec kMixedK3{/*colorCount=*/3,
+                              /*id=*/0x6d69786564330001ull,
+                              /*name=*/"mixed3",
+                              /*pairOverlay=*/&mixedPairOverlay,
+                              /*pairCutRisk=*/nullptr,
+                              /*material=*/&mixedMaterial,
+                              /*hardRelation=*/&mixedHardRelation};
+
+/// How much of the removal path a fuzz run reached.
+struct RemovalCoverage {
+  int hardRemovals = 0;    ///< removals that rebuilt a class
+  int violationsSeen = 0;  ///< removals made with a hard violation present
+  int classSplits = 0;     ///< removals that split a class of 3+ members
+};
+
+/// Random add / recolor / remove / re-add sequences over `nets` nets,
+/// checking every removal against the whole-graph reference.
+void fuzzRemovals(const PatterningSpec* spec, std::uint32_t seed, int nets,
+                  int ops, RemovalCoverage& cov) {
+  std::mt19937 rng(seed);
+  OverlayConstraintGraph g(std::pmr::get_default_resource(), spec);
+  const int k = g.colorCount();
+  const ScenarioType types[] = {ScenarioType::T1a, ScenarioType::T1b,
+                                ScenarioType::T2a, ScenarioType::T3a};
+  auto randomCls = [&]() {
+    if (k > 2) {
+      Classification c;
+      c.type = types[rng() % 4];
+      return c;
+    }
+    switch (rng() % 5) {
+      case 0: return hardDiff();
+      case 1: return hardSame();
+      case 2:  // single-assignment ban: hard, but no parity relation
+        return nonhard(kHardCost, 0, 0, 2, ScenarioType::T2b);
+      default:
+        return nonhard(int(rng() % 4), int(rng() % 4), int(rng() % 4),
+                       int(rng() % 4));
+    }
+  };
+  int removals = 0;
+  for (int op = 0; op < ops; ++op) {
+    const NetId a = NetId(rng() % std::uint32_t(nets));
+    const int kind = int(rng() % 10);
+    if (kind < 5) {
+      NetId b = NetId(rng() % std::uint32_t(nets));
+      if (b == a) b = (b + 1) % nets;
+      g.addScenario(a, b, randomCls());
+    } else if (kind < 7) {
+      if (g.findVertex(a) >= 0) g.pseudoColor(a);
+    } else if (kind < 8) {
+      g.setColor(a, colorFromIndex(int(rng() % std::uint32_t(k))));
+    } else {
+      const std::int64_t vi = g.findVertex(a);
+      if (vi < 0) continue;
+      const std::uint32_t v = std::uint32_t(vi);
+      std::vector<Color> snapshot;
+      for (std::uint32_t w = 0; w < g.vertexCount(); ++w) {
+        snapshot.push_back(g.colorOf(g.netOf(w)));
+      }
+      bool removedHard = false;
+      for (const OcgEdge& e : g.edges()) {
+        if (!e.alive || (e.u != v && e.v != v)) continue;
+        removedHard |= k == 2 ? e.hard() : spec->hardRelation(e.cls) >= 0;
+      }
+      if (!removedHard) snapshot[v] = Color::Unassigned;
+      std::vector<std::uint32_t> classmates;
+      for (std::uint32_t w = 0; w < g.vertexCount(); ++w) {
+        if (w != v && g.hardClassOf(w).first == g.hardClassOf(v).first) {
+          classmates.push_back(w);
+        }
+      }
+      cov.hardRemovals += removedHard;
+      cov.violationsSeen += g.hasHardViolation();
+      g.removeNet(a);
+      ++removals;
+      for (std::uint32_t w : classmates) {
+        if (g.hardClassOf(w).first != g.hardClassOf(classmates[0]).first) {
+          ++cov.classSplits;
+          break;
+        }
+      }
+      const RebuildReference ref = wholeGraphRebuild(g, snapshot);
+      for (std::uint32_t w = 0; w < g.vertexCount(); ++w) {
+        ASSERT_EQ(g.hardClassOf(w), ref.classOf[w])
+            << "seed " << seed << " op " << op << " vertex " << w;
+        ASSERT_EQ(g.colorOf(g.netOf(w)), ref.color[w])
+            << "seed " << seed << " op " << op << " vertex " << w;
+      }
+      ASSERT_EQ(g.hasHardViolation(), ref.violation)
+          << "seed " << seed << " op " << op;
+    }
+  }
+  EXPECT_GT(removals, ops / 20) << "seed " << seed;
+}
+
+TEST(OcgRemovalEquivalence, TwoColorMatchesWholeGraphRebuild) {
+  RemovalCoverage cov;
+  for (std::uint32_t seed = 1; seed <= 150; ++seed) {
+    fuzzRemovals(nullptr, seed, 6 + int(seed % 24), 400, cov);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(cov.hardRemovals, 1000);
+  EXPECT_GT(cov.violationsSeen, 100);
+  EXPECT_GT(cov.classSplits, 100);
+}
+
+TEST(OcgRemovalEquivalence, Tpl3SpecMatchesWholeGraphRebuild) {
+  RemovalCoverage cov;
+  for (std::uint32_t seed = 1; seed <= 60; ++seed) {
+    fuzzRemovals(&tpl3Backend().spec(), seed, 6 + int(seed % 24), 400, cov);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(cov.hardRemovals, 500);
+}
+
+TEST(OcgRemovalEquivalence, MustSameK3SpecMatchesWholeGraphRebuild) {
+  RemovalCoverage cov;
+  for (std::uint32_t seed = 1; seed <= 60; ++seed) {
+    fuzzRemovals(&kMixedK3, seed, 6 + int(seed % 24), 400, cov);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(cov.hardRemovals, 500);
+  EXPECT_GT(cov.violationsSeen, 50);
+  EXPECT_GT(cov.classSplits, 50);
 }
 
 }  // namespace

@@ -77,6 +77,27 @@ execute_process(
       --expect-error bad_request
     client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"history_cost\":-0.5}' \
       --expect-error bad_request
+    # Design-size and thread options are range-checked too: a value out of
+    # range (or of the wrong type) answers bad_request naming the field and
+    # its range instead of silently routing with the default.
+    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"layers\":0}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'layers must be an integer in 1..16' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"layers\":17}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'layers must be an integer in 1..16' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"layers\":\"3\"}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'layers must be an integer in 1..16' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"pin_candidates\":0}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'pin_candidates must be an integer >= 1' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":0}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'threads must be an integer >= 1' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":-2}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'threads must be an integer >= 1' '${OUT_DIR}/range.json'
     # timeout_ms:0 expires while queued -> deterministic timeout error.
     client req --json '{\"op\":\"route\",\"session\":\"s\",\"timeout_ms\":0}' --expect-error timeout
     # Session cap 2: third load is rejected.
