@@ -6,7 +6,8 @@
 //
 // `--json <path>` (or `--json=<path>`) additionally writes the per-kernel
 // ns/op results as machine-readable JSON (the BENCH_kernels.json schema),
-// so perf regressions are diffable across PRs; see tools/bench_smoke.sh.
+// with a "host" object (CPU count and model) so a diff across machines
+// shows as one; see tools/bench_smoke.sh.
 // `--filter <regex>` (or `--filter=<regex>`) is shorthand for google-
 // benchmark's --benchmark_filter= and restricts which kernels run.
 // `--trace <path>` / `--metrics <path>` enable the run-trace subsystem for
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "patterning/backend.hpp"
@@ -228,6 +230,21 @@ void BM_BitmapOpenAnchored(benchmark::State& state) {
 }
 BENCHMARK(BM_BitmapOpenAnchored)->Arg(256)->Arg(1024);
 
+/// Cut-spacing MRC kernel at the d_cut rule's 3 px on a fixed random
+/// layout: wire-like metal, and cut shapes from a second wire raster
+/// with the metal carved out.
+void BM_NarrowGapFlags(benchmark::State& state) {
+  const int n = int(state.range(0));
+  const Bitmap target = wireRaster(n, n, 11);
+  Bitmap cut = wireRaster(n, n, 12);
+  cut.andNot(target);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(narrowGapFlags(cut, target, 3));
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_NarrowGapFlags)->Arg(256)->Arg(1024);
+
 void BM_ComponentBoxes(benchmark::State& state) {
   const int n = int(state.range(0));
   const Bitmap b = wireRaster(n, n, 9);
@@ -266,75 +283,6 @@ void BM_DecomposeLayer(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rowsN);
 }
 BENCHMARK(BM_DecomposeLayer)->Arg(16)->Arg(64);
-
-/// Tiled-vs-untiled decomposition of a wide window (~17 words of raster
-/// columns), the regime the column-band tiling targets. tile_words < 0 is
-/// the whole-window reference path; threads > 1 shows the nested fan-out
-/// speedup on multicore hosts (byte-identical output either way).
-void BM_DecomposeLayerTiled(benchmark::State& state) {
-  constexpr Track kRows = 48;
-  std::vector<ColoredFragment> frags;
-  for (Track y = 0; y < kRows; ++y) {
-    frags.push_back({Fragment{0, Track(y * 2), 256, Track(y * 2 + 1),
-                              NetId(y)},
-                     (y % 2) ? Color::Second : Color::Core});
-  }
-  const DesignRules rules;
-  DecomposeOptions opts;
-  opts.tileWords = int(state.range(0));
-  setParallelThreads(int(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decomposeLayer(frags, rules, opts));
-  }
-  setParallelThreads(0);
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-BENCHMARK(BM_DecomposeLayerTiled)
-    ->Args({-1, 1})
-    ->Args({8, 1})
-    ->Args({8, 4})
-    ->Args({4, 4})
-    ->ArgNames({"tile_words", "threads"});
-
-/// Static vs dynamic band scheduling on a density-skewed layer: a dense
-/// block of short wires packed into the low-x words plus sparse long
-/// wires stretching the window to ~17 words, so per-band work varies by
-/// an order of magnitude and LPT + stealing can actually rebalance.
-/// schedule 0 = Static, 1 = Dynamic; both produce identical masks.
-void BM_DecomposeLayerSkewSched(benchmark::State& state) {
-  std::vector<ColoredFragment> frags;
-  NetId net = 1;
-  for (Track y = 0; y < 48; ++y) {
-    const Track x0 = Track((y * 3) % 9);
-    frags.push_back({Fragment{x0, Track(y * 2), Track(x0 + 14),
-                              Track(y * 2 + 1), net},
-                     (y % 2) ? Color::Second : Color::Core});
-    ++net;
-  }
-  for (int k = 0; k < 4; ++k) {
-    frags.push_back({Fragment{Track(40 + 50 * k), Track(8 * k + 1),
-                              Track(256), Track(8 * k + 2), net},
-                     (k % 2) ? Color::Second : Color::Core});
-    ++net;
-  }
-  const DesignRules rules;
-  DecomposeOptions opts;
-  opts.tileWords = 2;
-  opts.schedule =
-      state.range(0) ? BandSchedule::Dynamic : BandSchedule::Static;
-  setParallelThreads(int(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decomposeLayer(frags, rules, opts));
-  }
-  setParallelThreads(0);
-  state.SetItemsProcessed(state.iterations() * std::int64_t(frags.size()));
-}
-BENCHMARK(BM_DecomposeLayerSkewSched)
-    ->Args({0, 1})
-    ->Args({0, 4})
-    ->Args({1, 1})
-    ->Args({1, 4})
-    ->ArgNames({"dynamic", "threads"});
 
 // ---- Wave-parallel routing (speculative prefetch, DESIGN.md §5.12) ---------
 
@@ -411,6 +359,30 @@ BENCHMARK(BM_PhysicalReport)->Arg(1)->Arg(4)->ArgName("threads");
 
 // ---- JSON result collection ------------------------------------------------
 
+/// The "model name" line of /proc/cpuinfo, or "unknown" where there is
+/// none (non-Linux hosts, some ARM kernels).
+std::string cpuModel() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+std::string jsonEscaped(const std::string& s) {
+  std::string out;
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out;
+}
+
 /// Console reporter that additionally collects per-benchmark adjusted
 /// real/cpu ns and writes the BENCH_kernels.json schema consumed by
 /// future-PR comparisons. (Collecting via the display reporter avoids
@@ -434,6 +406,8 @@ class JsonCollector : public benchmark::ConsoleReporter {
     std::ofstream f(path);
     if (!f) return false;
     f << "{\n  \"bench\": \"bench_kernels\",\n  \"schema\": 1,\n"
+      << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"cpu_model\": \"" << jsonEscaped(cpuModel()) << "\"},\n"
       << "  \"unit\": \"ns\",\n  \"results\": [\n";
     for (std::size_t i = 0; i < results_.size(); ++i) {
       const Result& r = results_[i];

@@ -86,16 +86,6 @@ void RunContext::releaseExtraWorkers(int n) {
   g_globalExtra.fetch_sub(n, std::memory_order_relaxed);
 }
 
-CostHints RunContext::costHints() const {
-  return {hintNsPerWord_.load(std::memory_order_relaxed),
-          hintNsPerSetPx_.load(std::memory_order_relaxed)};
-}
-
-void RunContext::setCostHints(const CostHints& h) {
-  hintNsPerWord_.store(h.nsPerWord, std::memory_order_relaxed);
-  hintNsPerSetPx_.store(h.nsPerSetPx, std::memory_order_relaxed);
-}
-
 void RunContext::resetForRun() {
   metrics_->reset();
   trace_->clear();

@@ -36,20 +36,6 @@
 
 namespace sadp {
 
-/// Linear cost model for weight-scheduled loops (parallelForWeighted):
-/// estimated ns per raster word of band area plus ns per set pixel of
-/// band population. All-zero means "no hint" and consumers fall back to
-/// their built-in defaults. Typically produced by fitCostHints
-/// (src/sadp/decompose.hpp) from one traced run and installed on the
-/// context of the next (setCostHints) -- the hints only reorder work
-/// assignment, never results, so a stale or wrong hint is a performance
-/// bug at worst.
-struct CostHints {
-  double nsPerWord = 0.0;
-  double nsPerSetPx = 0.0;
-  bool empty() const { return !(nsPerWord > 0.0) && !(nsPerSetPx > 0.0); }
-};
-
 class RunContext {
  public:
   /// Fresh registries; thread count from SADP_THREADS (parsed once here)
@@ -88,14 +74,6 @@ class RunContext {
   /// of a fresh env-derived default; the process-wide reservation pool
   /// still bounds how many extra workers actually materialize.
   int fanOutWidth(int want) const;
-
-  /// Scheduler cost hints consumed by weight-scheduled passes (the
-  /// dynamic band scheduler of decomposeLayer). Install between runs:
-  /// the two fields are stored as independent relaxed atomics, so a
-  /// setCostHints racing live work could be observed half-applied
-  /// (harmless for results, but not a sensible thing to do).
-  CostHints costHints() const;
-  void setCostHints(const CostHints& h);
 
   /// Default patterning backend for work run under this context, by
   /// registry name ("sadp2", "tpl3"; empty = sadp2). Consumed by the
@@ -162,8 +140,6 @@ class RunContext {
   int envThreads_;  ///< SADP_THREADS > 0, else hardware; parsed at ctor
   std::atomic<int> explicitThreads_{0};
   std::atomic<int> extraInFlight_{0};
-  std::atomic<double> hintNsPerWord_{0.0};
-  std::atomic<double> hintNsPerSetPx_{0.0};
   Arena scratchArena_;  ///< rewound per search/flip; see scratchArena()
   Arena graphArena_;    ///< run-lifetime allocations; see graphArena()
   std::string patterningBackend_;  ///< empty = sadp2; see accessor above

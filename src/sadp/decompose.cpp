@@ -3,17 +3,15 @@
 #include "sadp/mask_cache.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <cstdint>
-#include <functional>
+#include <numeric>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "run/run_context.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 
@@ -58,125 +56,6 @@ struct CoreShape {
   Rect nm;
   bool assist = false;
 };
-
-// ---- Tiled intra-layer morphology (DESIGN.md §5.6) --------------------------
-//
-// The morphology passes (spacer grow, cut synthesis, cut MRC) are local
-// operations with a bounded influence radius, so the raster splits into
-// word-aligned column bands that are solved independently with a halo of
-// context and stitched back by whole-word copies — byte-identical to the
-// whole-window run, which is what lets the band loop ride the nested
-// parallelFor fan-out without touching the determinism contract.
-
-/// Auto-tiling policy (opts.tileWords == 0). Both constants are fixed so
-/// the band count — and with it every tile counter and parallelFor job
-/// total — depends only on the layout, never on the thread count.
-constexpr int kAutoTileWords = 8;     ///< 512-px bands
-constexpr int kAutoTileMinWords = 16; ///< don't tile below 1024 px width
-
-/// Band width in words for this window, or 0 for the whole-window path.
-int resolveTileWords(const DecomposeOptions& opts, int windowWords) {
-  if (opts.tileWords > 0) return opts.tileWords;
-  if (opts.tileWords == 0 && windowWords >= kAutoTileMinWords) {
-    return kAutoTileWords;
-  }
-  return 0;
-}
-
-using TileStageFn =
-    std::function<void(const std::vector<Bitmap>&, std::vector<Bitmap>&)>;
-
-/// Built-in band cost model used when neither DecomposeOptions::costHints
-/// nor the run context supplies one: a cropped raster word of morphology
-/// costs one unit, a set pixel adds ~0.05 (the run-extraction passes --
-/// narrowGapFlags, the anchored opening's content-dependent tail -- scale
-/// with population, the word-wise passes with area). Rough calibration
-/// from bench_kernels; refined per machine by fitCostHints.
-constexpr CostHints kDefaultCostHints{1.0, 0.05};
-
-/// Runs one morphology stage over word-aligned column bands: every band
-/// sees each input cropped to the band plus `haloWords` of context, `fn`
-/// fills band-local outputs, and only the band's core words are stitched
-/// into the pre-sized full-window `out` planes. Bands write disjoint word
-/// columns, so they are safe as concurrent parallelFor items; with the
-/// halo at least the stage's influence radius the stitched planes are
-/// byte-identical to running `fn` on the whole window.
-///
-/// Band-to-worker assignment follows `schedule`: Static is the shared
-/// cursor of parallelFor, Dynamic weighs each band by
-/// hints.nsPerWord * cropped word area + hints.nsPerSetPx * population
-/// (from a popcount prefix scan of the input planes) and runs the bands
-/// through the work-stealing parallelForWeighted. Everything metered here
-/// -- the tile counters, the per-band span and its population arg -- is a
-/// property of the layout and tile width, computed identically in both
-/// modes, so the metrics stream never depends on the schedule.
-void runTiledStage(RunContext& ctx, BandSchedule schedule,
-                   const CostHints& hints,
-                   std::initializer_list<const Bitmap*> in,
-                   std::initializer_list<Bitmap*> out, int tileWords,
-                   int haloWords, const TileStageFn& fn) {
-  const Bitmap& first = **in.begin();
-  const int wpr = Bitmap::wordsPerRow(first.width());
-  const int rows = first.height();
-  const int bands = (wpr + tileWords - 1) / tileWords;
-  // Looked up per stage, never cached in a static: the registry is
-  // per-context.
-  MetricsRegistry& m = ctx.metrics();
-  m.counter("decompose.tiles").add(bands);
-  Counter& tileWordsDone = m.counter("decompose.tile_words");
-  Counter& tileAreaWords = m.counter("decompose.tile_area_words");
-  Counter& tilePop = m.counter("decompose.tile_pop");
-  // Summed word-column populations of all input planes: band b's cost
-  // signal is pop[hi] - pop[lo] over its cropped columns.
-  std::vector<std::int64_t> pop(std::size_t(wpr) + 1, 0);
-  for (const Bitmap* p : in) {
-    const std::vector<std::int64_t> pre = p->wordColumnPopcountPrefix();
-    for (std::size_t k = 0; k < pop.size(); ++k) pop[k] += pre[k];
-  }
-  const auto cropLo = [&](int b) {
-    return std::max(0, b * tileWords - haloWords);
-  };
-  const auto cropHi = [&](int b) {
-    return std::min(wpr, std::min(wpr, b * tileWords + tileWords) + haloWords);
-  };
-  auto body = [&](int b) {
-    const int w0 = b * tileWords;
-    const int w1 = std::min(wpr, w0 + tileWords);
-    const int lo = cropLo(b);
-    const int hi = cropHi(b);
-    const std::int64_t bandPop = pop[std::size_t(hi)] - pop[std::size_t(lo)];
-    SADP_SPAN_ARG("decompose.tile", bandPop);
-    tileWordsDone.add(hi - lo);
-    tileAreaWords.add(std::int64_t(hi - lo) * rows);
-    tilePop.add(bandPop);
-    std::vector<Bitmap> sub;
-    sub.reserve(in.size());
-    for (const Bitmap* p : in) {
-      sub.push_back(p->extractWordColumns(lo, hi - lo));
-    }
-    std::vector<Bitmap> res(out.size());
-    fn(sub, res);
-    std::size_t i = 0;
-    for (Bitmap* p : out) {
-      p->blitWordColumns(res[i++], w0 - lo, w0, w1 - w0);
-    }
-  };
-  if (schedule == BandSchedule::Dynamic) {
-    std::vector<std::int64_t> weights(std::size_t(bands), 0);
-    for (int b = 0; b < bands; ++b) {
-      const int lo = cropLo(b), hi = cropHi(b);
-      const double cost =
-          hints.nsPerWord * double(std::int64_t(hi - lo) * rows) +
-          hints.nsPerSetPx *
-              double(pop[std::size_t(hi)] - pop[std::size_t(lo)]);
-      weights[std::size_t(b)] =
-          std::max<std::int64_t>(1, std::llround(cost));
-    }
-    parallelForWeighted(ctx, bands, weights, body);
-  } else {
-    parallelFor(ctx, bands, body);
-  }
-}
 
 }  // namespace
 
@@ -261,7 +140,6 @@ static LayerDecomposition decomposeLayerUncached(
   SADP_SPAN_ARG("decompose", std::int64_t(frags.size()));
   MetricsRegistry& m = ctx.metrics();
   m.counter("decompose.calls").add(1);
-  Counter& tiledCalls = m.counter("decompose.tiled_calls");
   Histogram& windowWords = m.histogram("decompose.window_words");
   LayerDecomposition out;
   // Window: bounding box of all metal plus margin, aligned to pixels.
@@ -285,25 +163,8 @@ static LayerDecomposition decomposeLayerUncached(
   const int wCutPx = rules.wCut / kPxNm;
   const int dCutPx = rules.dCut / kPxNm;
 
-  // Tiling setup. The halo must cover the largest influence radius of any
-  // tiled pass: the spacer dilation (w_spacer), the anchored w_cut opening,
-  // and the d_cut gap scan — their sum is a safe worst case even if passes
-  // ever cascade — rounded up to whole words to keep the crop/stitch pair
-  // word-aligned. The per-layer word count (a deterministic work measure)
-  // feeds the imbalance histogram that motivated tiling in the first place.
-  const int wpr = Bitmap::wordsPerRow(rr.w);
-  const int tileWords = resolveTileWords(opts, wpr);
-  const int haloPx = (rules.wSpacer + rules.wCut + rules.dCut) / kPxNm;
-  const int haloWords = (haloPx + 63) / 64;
-  windowWords.add(std::int64_t(wpr) * rr.h);
-  if (tileWords > 0) tiledCalls.add(1);
-
-  // Band scheduling: explicit option hints beat the context's installed
-  // hints beat the built-in defaults. Hints and schedule mode reorder
-  // work assignment only -- never planes, reports, or counters.
-  const BandSchedule schedule = opts.schedule;
-  CostHints hints = opts.costHints ? *opts.costHints : ctx.costHints();
-  if (hints.empty()) hints = kDefaultCostHints;
+  // Raster words per layer: a deterministic measure of the work below.
+  windowWords.add(std::int64_t(Bitmap::wordsPerRow(rr.w)) * rr.h);
 
   // ---- Step 1: target metal and real core shapes ---------------------------
   Bitmap target(rr.w, rr.h), coreRaw(rr.w, rr.h);
@@ -351,19 +212,7 @@ static LayerDecomposition decomposeLayerUncached(
     // Core material must keep >= w_spacer clearance from every metal shape
     // (its own wire sits at exactly w_spacer, so only foreign metal clips);
     // otherwise the assist's spacer would eat the neighboring pattern.
-    if (tileWords > 0) {
-      Bitmap dil(rr.w, rr.h);
-      runTiledStage(ctx, schedule, hints, {&target}, {&dil}, tileWords,
-                    haloWords,
-                    [&](const std::vector<Bitmap>& in,
-                        std::vector<Bitmap>& res) {
-                      res[0] = in[0].dilated(spacerPx);
-                    });
-      assert(fingerprint(dil) == fingerprint(target.dilated(spacerPx)));
-      assists.andNot(dil);
-    } else {
-      assists.andNot(target.dilated(spacerPx));
-    }
+    assists.andNot(target.dilated(spacerPx));
     for (const Rect& s : rasterToNmRects(assists, rr.windowNm)) {
       shapes.push_back({s, /*assist=*/true});
     }
@@ -382,19 +231,41 @@ static LayerDecomposition decomposeLayerUncached(
   if (opts.mergeCores) {
     SADP_SPAN("decompose.merge");
     const std::int64_t dCoreSq = std::int64_t(rules.dCore) * rules.dCore;
-    SpatialHash shapeIndex(/*pitch=*/256);
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      shapeIndex.insert(shapes[i].nm, std::uint32_t(i));
+    // Candidate pairs come from a sweep along the axis the shapes extend
+    // less in (x on a vertical layer, y on a horizontal one): a shape can
+    // only come within d_core of a later-sorted one whose low edge lies
+    // below its own d_core-inflated high edge. Each pair is handled with
+    // the lower index as `a`, and every plane it writes is a union, so
+    // neither the axis nor the sweep order can change a pixel.
+    std::int64_t extentX = 0, extentY = 0;
+    for (const CoreShape& c : shapes) {
+      extentX += c.nm.width();
+      extentY += c.nm.height();
     }
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      const Rect window = shapes[i].nm.inflated(rules.dCore);
-      std::vector<std::uint32_t> near;
-      shapeIndex.query(window, [&](const Rect&, std::uint32_t j) {
-        if (j > i) near.push_back(j);
-      });
-      for (std::uint32_t j : near) {
+    const bool alongY = extentY < extentX;
+    struct SweepEntry {
+      Nm lo, hi;
+      std::uint32_t index;
+    };
+    std::vector<SweepEntry> sweep;
+    sweep.reserve(shapes.size());
+    for (std::uint32_t i = 0; i < shapes.size(); ++i) {
+      const Rect& r = shapes[i].nm;
+      sweep.push_back(alongY ? SweepEntry{r.ylo, r.yhi, i}
+                             : SweepEntry{r.xlo, r.xhi, i});
+    }
+    std::sort(sweep.begin(), sweep.end(),
+              [](const SweepEntry& p, const SweepEntry& q) {
+                return p.lo != q.lo ? p.lo < q.lo : p.index < q.index;
+              });
+    for (std::size_t s = 0; s < sweep.size(); ++s) {
+      const Nm reach = sweep[s].hi + rules.dCore;
+      for (std::size_t t = s + 1; t < sweep.size() && sweep[t].lo < reach;
+           ++t) {
+        const auto [i, j] = std::minmax(sweep[s].index, sweep[t].index);
         const CoreShape& a = shapes[i];
         const CoreShape& b = shapes[j];
+        if (!a.nm.inflated(rules.dCore).overlaps(b.nm)) continue;
         const std::int64_t d2 = distSq(a.nm, b.nm);
         if (d2 == 0 || d2 >= dCoreSq) continue;
         const Rect box = bridgeBox(a.nm, b.nm);
@@ -413,11 +284,11 @@ static LayerDecomposition decomposeLayerUncached(
         // Trim reach is rounded up to 2*w_spacer so the remaining assist
         // end keeps the layout on the w_spacer lattice (a d_core trim would
         // leave sub-w_cut cut slivers between the spacers).
-        const Nm reach = std::max<Nm>(rules.dCore, 2 * rules.wSpacer);
+        const Nm trimReach = std::max<Nm>(rules.dCore, 2 * rules.wSpacer);
         const Rect trimA =
-            a.assist ? b.nm.inflated(reach).intersect(a.nm) : Rect{};
+            a.assist ? b.nm.inflated(trimReach).intersect(a.nm) : Rect{};
         const Rect trimB =
-            b.assist ? a.nm.inflated(reach).intersect(b.nm) : Rect{};
+            b.assist ? a.nm.inflated(trimReach).intersect(b.nm) : Rect{};
         // A trim that would erase an assist completely (typical for the
         // tiny strips of a stub ring) loses more protection than the merge
         // damages: prefer the merge and accept the corner nibble.
@@ -440,41 +311,17 @@ static LayerDecomposition decomposeLayerUncached(
 
   // ---- Step 4: spacer ring --------------------------------------------------
   // ---- Step 5: cut mask (spacer-is-dielectric complement) -------------------
-  // One stage for both: every op besides the dilation is word-pointwise, so
-  // the band-local run stitches byte-identically to the whole window.
-  auto spacerStage = [&](const Bitmap& core, const Bitmap& tgt, Bitmap& sp,
-                         Bitmap& eat, Bitmap& ct) {
-    Bitmap spacerRaw = core.dilated(spacerPx);
-    spacerRaw.andNot(core);
-    eat = spacerRaw;  // spacer intruding into metal: CD damage
-    eat &= tgt;
-    sp = std::move(spacerRaw);
-    sp.andNot(tgt);
-    ct = Bitmap(tgt.width(), tgt.height());
-    ct.fillRect(0, 0, tgt.width(), tgt.height());
-    ct.andNot(sp);
-    ct.andNot(tgt);
-  };
-  Bitmap spacer(rr.w, rr.h), eaten(rr.w, rr.h), cut(rr.w, rr.h);
+  Bitmap spacer, eaten, cut(rr.w, rr.h);
   {
     SADP_SPAN("decompose.spacer");
-    if (tileWords > 0) {
-      runTiledStage(ctx, schedule, hints, {&coreMask, &target},
-                    {&spacer, &eaten, &cut}, tileWords, haloWords,
-                    [&](const std::vector<Bitmap>& in,
-                        std::vector<Bitmap>& res) {
-                      spacerStage(in[0], in[1], res[0], res[1], res[2]);
-                    });
-#ifndef NDEBUG
-      Bitmap refSp(rr.w, rr.h), refEat(rr.w, rr.h), refCut(rr.w, rr.h);
-      spacerStage(coreMask, target, refSp, refEat, refCut);
-      assert(fingerprint(spacer) == fingerprint(refSp));
-      assert(fingerprint(eaten) == fingerprint(refEat));
-      assert(fingerprint(cut) == fingerprint(refCut));
-#endif
-    } else {
-      spacerStage(coreMask, target, spacer, eaten, cut);
-    }
+    spacer = coreMask.dilated(spacerPx);
+    spacer.andNot(coreMask);
+    eaten = spacer;  // spacer intruding into metal: CD damage
+    eaten &= target;
+    spacer.andNot(target);
+    cut.fillRect(0, 0, rr.w, rr.h);
+    cut.andNot(spacer);
+    cut.andNot(target);
     out.report.spacerOverTargetPx = std::int64_t(eaten.count());
   }
 
@@ -560,55 +407,24 @@ static LayerDecomposition decomposeLayerUncached(
   // word-wise AND against the dilated target.
   // Spacing: axis-aligned cut-gap-cut patterns with gap < d_cut where the
   // gap crosses target metal (two cut patterns defining opposite sides of
-  // a feature, Fig. 15(b)). Both scans are local (radius <= max(w_cut,
-  // d_cut) px), so they tile like the spacer stage; only the component
-  // sweep runs on the stitched whole-window flag planes.
-  auto mrcStage = [&](const Bitmap& ct, const Bitmap& tgt, Bitmap& flagW,
-                      Bitmap& flagS) {
-    flagW = ct;
-    flagW.andNot(ct.openedAnchored(wCutPx));
-    flagW &= tgt.dilated(1);
-    flagS = narrowGapFlags(ct, tgt, dCutPx);
+  // a feature, Fig. 15(b)).
+  Bitmap flaggedWidth = cut;
+  flaggedWidth.andNot(cut.openedAnchored(wCutPx));
+  flaggedWidth &= target.dilated(1);
+  const Bitmap flaggedSpace = narrowGapFlags(cut, target, dCutPx);
+  const auto addConflictBoxes = [&](const Bitmap& flags) {
+    const std::vector<Rect> boxes = componentBoxes(flags);
+    for (const Rect& b : boxes) {
+      out.conflictBoxesNm.push_back(
+          Rect{Nm(rr.windowNm.xlo + b.xlo * kPxNm),
+               Nm(rr.windowNm.ylo + b.ylo * kPxNm),
+               Nm(rr.windowNm.xlo + b.xhi * kPxNm),
+               Nm(rr.windowNm.ylo + b.yhi * kPxNm)});
+    }
+    return int(boxes.size());
   };
-  Bitmap flaggedWidth(rr.w, rr.h), flaggedSpace(rr.w, rr.h);
-  if (tileWords > 0) {
-    runTiledStage(ctx, schedule, hints, {&cut, &target},
-                  {&flaggedWidth, &flaggedSpace}, tileWords, haloWords,
-                  [&](const std::vector<Bitmap>& in,
-                      std::vector<Bitmap>& res) {
-                    mrcStage(in[0], in[1], res[0], res[1]);
-                  });
-#ifndef NDEBUG
-    Bitmap refW(rr.w, rr.h), refS(rr.w, rr.h);
-    mrcStage(cut, target, refW, refS);
-    assert(fingerprint(flaggedWidth) == fingerprint(refW));
-    assert(fingerprint(flaggedSpace) == fingerprint(refS));
-#endif
-  } else {
-    mrcStage(cut, target, flaggedWidth, flaggedSpace);
-  }
-  {
-    const auto boxes = componentBoxes(flaggedWidth);
-    out.report.cutWidthConflicts = int(boxes.size());
-    for (const Rect& b : boxes) {
-      out.conflictBoxesNm.push_back(
-          Rect{Nm(rr.windowNm.xlo + b.xlo * kPxNm),
-               Nm(rr.windowNm.ylo + b.ylo * kPxNm),
-               Nm(rr.windowNm.xlo + b.xhi * kPxNm),
-               Nm(rr.windowNm.ylo + b.yhi * kPxNm)});
-    }
-  }
-  {
-    const auto boxes = componentBoxes(flaggedSpace);
-    out.report.cutSpaceConflicts = int(boxes.size());
-    for (const Rect& b : boxes) {
-      out.conflictBoxesNm.push_back(
-          Rect{Nm(rr.windowNm.xlo + b.xlo * kPxNm),
-               Nm(rr.windowNm.ylo + b.ylo * kPxNm),
-               Nm(rr.windowNm.xlo + b.xhi * kPxNm),
-               Nm(rr.windowNm.ylo + b.yhi * kPxNm)});
-    }
-  }
+  out.report.cutWidthConflicts = addConflictBoxes(flaggedWidth);
+  out.report.cutSpaceConflicts = addConflictBoxes(flaggedSpace);
 
   out.target = std::move(target);
   out.coreMask = std::move(coreMask);
@@ -689,58 +505,55 @@ std::uint64_t maskFingerprint(const LayerDecomposition& d) {
   return h;
 }
 
-Bitmap narrowGapFlags(const Bitmap& cut, const Bitmap& target, int minGapPx) {
-  auto rowPass = [minGapPx](const Bitmap& cuts, const Bitmap& metal) {
-    Bitmap gaps(cuts.width(), cuts.height());
-    std::vector<std::pair<int, int>> runs;
-    for (int y = 0; y < cuts.height(); ++y) {
-      rowRuns(cuts, y, runs);
-      for (std::size_t t = 1; t < runs.size(); ++t) {
-        const int g0 = runs[t - 1].second, g1 = runs[t].first;
-        if (g1 - g0 < minGapPx) gaps.fillRect(g0, y, g1, y + 1);
-      }
-    }
-    gaps &= metal;
-    return gaps;
-  };
-  Bitmap flagged = rowPass(cut, target);
-  flagged |= rowPass(cut.transposed(), target.transposed()).transposed();
-  return flagged;
+namespace {
+
+/// The 64 pixels [x0, x0 + 64) of a packed row of `wpr` words, LSB = x0;
+/// pixels outside the row (x0 may be negative) read as unset.
+std::uint64_t rowBitsAt(const std::uint64_t* row, int wpr, int x0) {
+  const int j = x0 >> 6;  // floor division, also for negative x0
+  const int bit = x0 & 63;
+  const std::uint64_t lo = unsigned(j) < unsigned(wpr) ? row[j] : 0;
+  if (bit == 0) return lo;
+  const std::uint64_t hi =
+      unsigned(j + 1) < unsigned(wpr) ? row[j + 1] : 0;
+  return (lo >> bit) | (hi << (64 - bit));
 }
 
-CostHints fitCostHints(const RunContext& ctx) {
-  // (population, duration) sample per band from the Full-level trace;
-  // the span arg is the band's summed input population (runTiledStage).
-  std::vector<std::pair<double, double>> pts;
-  for (const TraceEvent& e : ctx.trace().collectEvents()) {
-    if (e.name == "decompose.tile" && e.hasArg) {
-      pts.emplace_back(double(e.arg), double(e.durNs));
+}  // namespace
+
+Bitmap narrowGapFlags(const Bitmap& cut, const Bitmap& target, int minGapPx) {
+  if (cut.width() != target.width() || cut.height() != target.height()) {
+    throw std::invalid_argument("narrowGapFlags: dimension mismatch");
+  }
+  const int w = cut.width(), h = cut.height();
+  const int wpr = Bitmap::wordsPerRow(w);
+  const int k = minGapPx;
+  Bitmap flagged(w, h);
+  // An unset pixel whose nearest cut pixels along one axis lie at
+  // distances a, b >= 1 sits in a gap of a + b - 1 pixels, so it is
+  // flagged iff a + b <= k. Pairing each left distance k - m with every
+  // right distance <= m covers exactly those pairs; a gap with no cut on
+  // one side (it touches the raster border) never pairs.
+  for (int y = 0; y < h; ++y) {
+    const std::uint64_t* cutRow = cut.rowWords(y);
+    const std::uint64_t* tgtRow = target.rowWords(y);
+    std::uint64_t* outRow = flagged.rowWords(y);
+    for (int j = 0; j < wpr; ++j) {
+      // Flags are kept only over metal, and cut pixels are never gaps.
+      const std::uint64_t open = tgtRow[j] & ~cutRow[j];
+      if (open == 0) continue;
+      const int x0 = j << 6;
+      std::uint64_t hits = 0, rightX = 0, rightY = 0;
+      for (int m = 1; m < k; ++m) {
+        rightX |= rowBitsAt(cutRow, wpr, x0 + m);
+        hits |= rowBitsAt(cutRow, wpr, x0 - (k - m)) & rightX;
+        if (y + m < h) rightY |= cut.rowWords(y + m)[j];
+        if (y >= k - m) hits |= cut.rowWords(y - (k - m))[j] & rightY;
+      }
+      outRow[j] = hits & open;
     }
   }
-  const std::int64_t bands = ctx.metrics().counter("decompose.tiles").value();
-  const std::int64_t areaWords =
-      ctx.metrics().counter("decompose.tile_area_words").value();
-  if (pts.size() < 2 || bands <= 0 || areaWords <= 0) return {};
-  // Least squares durNs = intercept + slope * pop. Zero population
-  // variance (uniform layouts) degenerates to slope 0: the fit then only
-  // measures the per-area term, which is still a valid hint.
-  double meanPop = 0, meanDur = 0;
-  for (const auto& [p, d] : pts) {
-    meanPop += p;
-    meanDur += d;
-  }
-  meanPop /= double(pts.size());
-  meanDur /= double(pts.size());
-  double cov = 0, var = 0;
-  for (const auto& [p, d] : pts) {
-    cov += (p - meanPop) * (d - meanDur);
-    var += (p - meanPop) * (p - meanPop);
-  }
-  const double nsPerSetPx = var > 0 ? std::max(0.0, cov / var) : 0.0;
-  const double interceptNs = meanDur - nsPerSetPx * meanPop;
-  const double meanBandAreaWords = double(areaWords) / double(bands);
-  const double nsPerWord = std::max(0.0, interceptNs / meanBandAreaWords);
-  return {nsPerWord, nsPerSetPx};
+  return flagged;
 }
 
 }  // namespace sadp

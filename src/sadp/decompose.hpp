@@ -34,15 +34,6 @@ namespace sadp {
 
 class MaskCache;  // sadp/mask_cache.hpp
 
-/// How the tiled morphology bands are assigned to workers. Either mode
-/// produces byte-identical planes, reports, and metric counter totals --
-/// scheduling moves assignment order only (the determinism contract,
-/// fuzz-checked by tests/test_schedule_fuzz.cpp).
-enum class BandSchedule {
-  Static,   ///< shared-cursor parallelFor (the PR-3 behaviour)
-  Dynamic,  ///< cost-weighted work stealing (parallelForWeighted)
-};
-
 /// One colored wire fragment to decompose.
 struct ColoredFragment {
   Fragment frag;
@@ -129,26 +120,12 @@ struct DecomposeOptions {
   /// control ([16], Fig. 22).
   bool trimAssists = true;
   Nm margin = 120;            ///< nm of empty field kept around the window
-  /// Column-band width of the tiled morphology passes, in 64-px raster
-  /// words. > 0: fixed band width; 0 (default): automatic — 8-word bands
-  /// once the window is at least 16 words wide, whole-window below that;
-  /// < 0: tiling disabled (the whole-window reference path). Every value
-  /// produces byte-identical masks and reports; the knob only changes how
-  /// the work is split into nested parallelFor items (DESIGN.md §5.6).
+  /// Ignored. Decomposition always runs over the whole window
+  /// (DESIGN.md §5.6); the field remains only for callers that still set
+  /// it, and any value yields the same masks and reports.
   int tileWords = 0;
-  /// Band-to-worker assignment policy of the tiled passes. Dynamic (the
-  /// default) weighs each band by a linear cost model over its word area
-  /// and population (see costHints) and schedules the weighted bands
-  /// work-stealing; Static keeps the shared-cursor assignment. Output is
-  /// byte-identical either way (CLI `--schedule static|dynamic`).
-  BandSchedule schedule = BandSchedule::Dynamic;
-  /// Cost model of the dynamic scheduler; null = the run context's hints
-  /// (RunContext::costHints(), typically installed from a previous traced
-  /// run via fitCostHints), themselves falling back to built-in defaults
-  /// when empty. Hints reorder work assignment only, never results.
-  const CostHints* costHints = nullptr;
-  /// Run context the decomposition reports metrics/spans into and draws
-  /// parallel workers from; null = the calling thread's bound context.
+  /// Run context the decomposition reports metrics/spans into; null = the
+  /// calling thread's bound context.
   RunContext* ctx = nullptr;
   /// Optional shared result cache (sadp/mask_cache.hpp). A hit returns a
   /// byte-identical plane without recomputation; a miss computes and
@@ -190,21 +167,11 @@ std::vector<Rect> rasterToNmRects(const Bitmap& b, const Rect& windowNm);
 
 /// Cut-spacing MRC kernel (Fig. 15(b)): pixels of an axis-aligned gap
 /// between two consecutive `cut` runs narrower than `minGapPx`, restricted
-/// to where the gap crosses `target` metal. Both axes run word-parallel:
-/// rows via run extraction over the packed words, columns by transposing
-/// the rasters, rerunning the row pass, and transposing back.
+/// to where the gap crosses `target` metal. An unset pixel whose nearest
+/// cut pixels along x or y lie at distances a, b >= 1 is flagged iff
+/// a + b <= minGapPx (the gap is a + b - 1 pixels); gaps that touch the
+/// raster border are never flagged. Word-parallel on both axes: shifted
+/// row words for x, neighbouring row words for y.
 Bitmap narrowGapFlags(const Bitmap& cut, const Bitmap& target, int minGapPx);
-
-/// Fits the dynamic band scheduler's cost model from a completed run
-/// traced at TraceLevel::Full. Every decompose.tile span carries its
-/// band's input population as the span arg, so a least-squares fit of
-/// span duration against population yields nsPerSetPx (the slope,
-/// clamped at 0), and the per-band intercept divided by the mean band
-/// word area (decompose.tile_area_words / decompose.tiles counters)
-/// yields nsPerWord. Returns an empty CostHints -- "keep the defaults"
-/// -- when the run has fewer than two band spans or no tiled work.
-/// Install the result for the next run via RunContext::setCostHints or
-/// DecomposeOptions::costHints.
-CostHints fitCostHints(const RunContext& ctx);
 
 }  // namespace sadp

@@ -2,11 +2,11 @@
 // (DESIGN.md §5.11).
 //
 // The decomposition is a pure function of (fragment sequence, design
-// rules, the output-affecting options). Tiling width, band schedule, cost
-// hints and the bound RunContext are byte-identity-neutral by the repo's
-// fuzz-enforced determinism contract, so they are deliberately EXCLUDED
-// from the key: a request tiled differently still hits. Keys are 128-bit
-// content digests; collisions are assumed negligible and the honesty test
+// rules, the output-affecting options). The ignored tileWords field and
+// the bound RunContext cannot change a byte of the result, so they are
+// deliberately EXCLUDED from the key: a request made under another
+// context or thread count still hits. Keys are 128-bit content digests;
+// collisions are assumed negligible and the honesty test
 // (tests/test_mask_cache.cpp) pins the contract that a key hit returns a
 // byte-identical plane.
 //

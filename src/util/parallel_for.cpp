@@ -92,8 +92,7 @@ void parallelForWeighted(RunContext& ctx, int n,
   if (n <= 0) return;
   assert(weights.size() >= std::size_t(n));
   // Same counters as the unweighted loop and nothing more: metrics must
-  // not depend on the schedule mode (the fuzz suite compares counter
-  // totals across serial/static/dynamic runs).
+  // not depend on whether a loop is weighted or how it was scheduled.
   MetricsRegistry& m = ctx.metrics();
   m.counter("parallel.calls").add(1);
   m.counter("parallel.jobs").add(n);

@@ -33,8 +33,7 @@ void setParallelThreads(int n);
 /// registries.
 ///
 /// Nested-work submission: parallelFor may be called from inside another
-/// parallelFor body (e.g. the per-tile fan-out nested under the per-layer
-/// decomposition). Extra workers are drawn from ctx's budget of
+/// parallelFor body. Extra workers are drawn from ctx's budget of
 /// ctx.threadCount() - 1, itself bounded by the process-wide pool of
 /// parallelThreadCount() - 1 threads shared by every context -- so total
 /// live workers stay bounded at any nesting depth AND across concurrent

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <queue>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sadp/decompose.hpp"
@@ -524,151 +525,38 @@ ByteRaster naiveNarrowGaps(const ByteRaster& cut, const ByteRaster& target,
   return out;
 }
 
+/// Random metal with whole rows and whole 64-px word columns left empty,
+/// so zero target words sit next to live ones in both directions.
+Bitmap holedTarget(int w, int h, std::mt19937& rng) {
+  Bitmap t = randomBitmap(w, h, 0.6, rng);
+  for (int y = 1; y < h; y += 3) t.fillRect(0, y, w, y + 1, false);
+  for (int x0 = w > 64 ? 64 : 0; x0 < w; x0 += 128) {
+    t.fillRect(x0, 0, x0 + 64, h / 2, false);
+  }
+  return t;
+}
+
 TEST(BitmapProperty, NarrowGapFlagsMatchPixelWalk) {
   std::mt19937 rng(5050);
   for (int w : kWidths)
-    for (double density : {0.2, 0.5}) {
-      const int h = 48;
-      const Bitmap cut = randomBitmap(w, h, density, rng);
-      const Bitmap target = randomBitmap(w, h, 0.6, rng);
-      const ByteRaster rc(cut), rt(target);
-      for (int minGap : {1, 2, 3, 5}) {
-        expectEqual(narrowGapFlags(cut, target, minGap),
-                    naiveNarrowGaps(rc, rt, minGap),
-                    "narrowGapFlags minGap=" + std::to_string(minGap) +
-                        " w=" + std::to_string(w) +
-                        " d=" + std::to_string(density));
-      }
-    }
-}
-
-// ---- Word-column crop/stitch (the tiled-decomposition primitives) ----------
-
-/// Pixel-level reference of extractWordColumns: the band clipped to the
-/// source width, bits read through get().
-Bitmap naiveExtract(const Bitmap& b, int word0, int nWords) {
-  const int x0 = word0 * 64;
-  const int w = std::min(b.width() - x0, nWords * 64);
-  Bitmap out(w, b.height());
-  for (int y = 0; y < b.height(); ++y)
-    for (int x = 0; x < w; ++x)
-      if (b.get(x0 + x, y)) out.set(x, y);
-  return out;
-}
-
-TEST(BitmapWordColumns, ExtractEdgeWidths) {
-  // Widths straddling the word boundary: the padded last word of a row
-  // must carry its zero tail into the extracted band.
-  std::mt19937 rng(60401);
-  for (int w : {63, 64, 65}) {
-    const Bitmap b = randomBitmap(w, 9, 0.5, rng);
-    const int wpr = Bitmap::wordsPerRow(w);
-    for (int word0 = 0; word0 < wpr; ++word0)
-      for (int nWords = 1; nWords <= wpr - word0 + 1; ++nWords) {
-        const Bitmap got = b.extractWordColumns(word0, nWords);
-        const Bitmap want = naiveExtract(b, word0, nWords);
-        EXPECT_EQ(got, want) << "w=" << w << " word0=" << word0
-                             << " nWords=" << nWords;
-        EXPECT_EQ(got.width(),
-                  std::min(w - word0 * 64, nWords * 64));
-        EXPECT_EQ(got.count(), want.count());
-      }
-  }
-  Bitmap b(65, 4);
-  EXPECT_THROW(b.extractWordColumns(2, 1), std::out_of_range);
-  EXPECT_THROW(b.extractWordColumns(-1, 1), std::out_of_range);
-  EXPECT_THROW(b.extractWordColumns(0, 0), std::out_of_range);
-}
-
-TEST(BitmapWordColumns, ExtractMatchesPixelReference) {
-  std::mt19937 rng(70707);
-  for (int w : kWidths) {
-    const int wpr = Bitmap::wordsPerRow(w);
-    const Bitmap b = randomBitmap(w, 17, 0.4, rng);
-    std::uniform_int_distribution<int> dw0(0, wpr - 1);
-    for (int q = 0; q < 40; ++q) {
-      const int word0 = dw0(rng);
-      std::uniform_int_distribution<int> dn(1, wpr - word0 + 2);
-      const int nWords = dn(rng);
-      EXPECT_EQ(b.extractWordColumns(word0, nWords),
-                naiveExtract(b, word0, nWords))
-          << "w=" << w << " word0=" << word0 << " nWords=" << nWords;
-    }
-  }
-}
-
-TEST(BitmapWordColumns, BlitMatchesPixelReference) {
-  std::mt19937 rng(80808);
-  for (int w : kWidths) {
-    const int wpr = Bitmap::wordsPerRow(w);
-    for (int q = 0; q < 40; ++q) {
-      Bitmap dst = randomBitmap(w, 11, 0.4, rng);
-      // A source band at least as wide as the copy range; its own width
-      // may be ragged so its padded tail word exercises the dst masking.
-      std::uniform_int_distribution<int> dd0(0, wpr - 1);
-      const int dstWord0 = dd0(rng);
-      std::uniform_int_distribution<int> dn(1, wpr - dstWord0);
-      const int nWords = dn(rng);
-      std::uniform_int_distribution<int> ds0(0, 2);
-      const int srcWord0 = ds0(rng);
-      std::uniform_int_distribution<int> dsw(
-          (srcWord0 + nWords) * 64 - 63, (srcWord0 + nWords + 1) * 64);
-      const Bitmap src = randomBitmap(dsw(rng), 11, 0.4, rng);
-      // Pixel-level expected image: band pixels come from src (reads past
-      // src.width() are unset), everything else keeps dst's bits.
-      Bitmap want(w, 11);
-      for (int y = 0; y < 11; ++y)
-        for (int x = 0; x < w; ++x) {
-          const int word = x >> 6;
-          const bool inBand = word >= dstWord0 && word < dstWord0 + nWords;
-          const bool bit =
-              inBand ? src.get((srcWord0 - dstWord0) * 64 + x, y)
-                     : dst.get(x, y);
-          if (bit) want.set(x, y);
+    for (int h : {1, 2, 47, 64, 65})
+      for (double density : {0.02, 0.5, 0.98}) {
+        const Bitmap cut = randomBitmap(w, h, density, rng);
+        const Bitmap target = holedTarget(w, h, rng);
+        const ByteRaster rc(cut), rt(target);
+        // 1..7 around the d_cut rule's 3 px, plus gaps reaching a whole
+        // word and past it.
+        for (int minGap : {1, 2, 3, 4, 5, 6, 7, 40, 70}) {
+          expectEqual(narrowGapFlags(cut, target, minGap),
+                      naiveNarrowGaps(rc, rt, minGap),
+                      "narrowGapFlags minGap=" + std::to_string(minGap) +
+                          " w=" + std::to_string(w) +
+                          " h=" + std::to_string(h) +
+                          " d=" + std::to_string(density));
         }
-      dst.blitWordColumns(src, srcWord0, dstWord0, nWords);
-      // operator== is word-wise, so this also proves the padded tail word
-      // of every dst row stayed zero after the blit.
-      EXPECT_EQ(dst, want) << "w=" << w << " dstWord0=" << dstWord0
-                           << " srcWord0=" << srcWord0
-                           << " nWords=" << nWords;
-      EXPECT_EQ(dst.count(), want.count());
-    }
-  }
-}
-
-TEST(BitmapWordColumns, BlitMasksPaddedTailWord) {
-  // Source band wider than the destination's ragged width: the extra
-  // columns land in dst's padded tail bits and must be discarded.
-  for (int w : {63, 65}) {
-    Bitmap src(128, 3);
-    src.fillRect(0, 0, 128, 3);  // all ones, including bits >= w
-    Bitmap dst(w, 3);
-    dst.blitWordColumns(src, 0, 0, Bitmap::wordsPerRow(w));
-    EXPECT_EQ(dst.count(), std::size_t(w) * 3) << "w=" << w;
-    Bitmap full(w, 3);
-    full.fillRect(0, 0, w, 3);
-    EXPECT_EQ(dst, full) << "w=" << w;
-  }
-  Bitmap a(64, 2), b(64, 3);
-  EXPECT_THROW(a.blitWordColumns(b, 0, 0, 1), std::invalid_argument);
-  Bitmap c(64, 2);
-  EXPECT_THROW(a.blitWordColumns(c, 0, 1, 1), std::out_of_range);
-  EXPECT_THROW(a.blitWordColumns(c, 1, 0, 1), std::out_of_range);
-}
-
-TEST(BitmapWordColumns, ExtractBlitRoundTrips) {
-  std::mt19937 rng(91919);
-  for (int w : kWidths) {
-    const int wpr = Bitmap::wordsPerRow(w);
-    const Bitmap b = randomBitmap(w, 13, 0.5, rng);
-    Bitmap rebuilt(w, 13);
-    for (int word0 = 0; word0 < wpr; word0 += 2) {
-      const int n = std::min(2, wpr - word0);
-      rebuilt.blitWordColumns(b.extractWordColumns(word0, n), 0, word0, n);
-    }
-    EXPECT_EQ(rebuilt, b) << "w=" << w;
-  }
+      }
+  EXPECT_THROW(narrowGapFlags(Bitmap(3, 3), Bitmap(4, 3), 3),
+               std::invalid_argument);
 }
 
 TEST(BitmapFingerprint, TracksEquality) {
@@ -681,64 +569,6 @@ TEST(BitmapFingerprint, TracksEquality) {
   // Dimensions are hashed too: same words, different shape.
   EXPECT_NE(fingerprint(Bitmap(64, 2)), fingerprint(Bitmap(128, 1)));
   EXPECT_NE(fingerprint(Bitmap(1, 1)), fingerprint(Bitmap(1, 2)));
-}
-
-// Naive per-pixel reference for the popcount prefix scan: count set
-// pixels with x < 64*i by walking every pixel.
-std::vector<std::int64_t> naivePopcountPrefix(const Bitmap& b) {
-  std::vector<std::int64_t> out(std::size_t(Bitmap::wordsPerRow(b.width())) + 1,
-                                0);
-  for (int y = 0; y < b.height(); ++y)
-    for (int x = 0; x < b.width(); ++x)
-      if (b.get(x, y)) ++out[std::size_t(x >> 6) + 1];
-  for (std::size_t i = 1; i < out.size(); ++i) out[i] += out[i - 1];
-  return out;
-}
-
-TEST(BitmapPopcountPrefix, DegenerateRasters) {
-  // Zero-area raster: one word column of nothing.
-  EXPECT_EQ(Bitmap(0, 0).wordColumnPopcountPrefix(),
-            (std::vector<std::int64_t>{0}));
-  // Single pixel in each word-boundary column of a 3-word raster.
-  for (int x : {0, 63, 64, 127, 128, 129}) {
-    Bitmap b(130, 5);
-    b.set(x, 3);
-    const auto p = b.wordColumnPopcountPrefix();
-    ASSERT_EQ(p.size(), 4u) << "x=" << x;
-    EXPECT_EQ(p, naivePopcountPrefix(b)) << "x=" << x;
-    EXPECT_EQ(p.back(), 1);
-  }
-}
-
-TEST(BitmapPopcountPrefix, FullWindow) {
-  for (int w : kWidths) {
-    Bitmap b(w, 9);
-    b.fillRect(0, 0, w, 9);
-    const auto p = b.wordColumnPopcountPrefix();
-    EXPECT_EQ(p, naivePopcountPrefix(b)) << "w=" << w;
-    EXPECT_EQ(p.front(), 0);
-    EXPECT_EQ(p.back(), std::int64_t(w) * 9);
-    // The ragged tail column must count only real pixels, never padding.
-    for (std::size_t i = 1; i < p.size(); ++i)
-      EXPECT_LE(p[i] - p[i - 1], std::int64_t(64) * 9) << "w=" << w;
-  }
-}
-
-TEST(BitmapPopcountPrefix, RandomPlanesMatchNaiveReference) {
-  std::mt19937 rng(2718);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int w = kWidths[std::size_t(trial) % std::size(kWidths)];
-    const int h = kHeights[std::size_t(trial) % std::size(kHeights)];
-    const double density = (trial % 5) * 0.25;  // 0, sparse ... full
-    const Bitmap b = randomBitmap(w, h, density, rng);
-    const auto p = b.wordColumnPopcountPrefix();
-    EXPECT_EQ(p, naivePopcountPrefix(b))
-        << "trial=" << trial << " w=" << w << " h=" << h;
-    ASSERT_FALSE(p.empty());
-    EXPECT_EQ(p.back(), std::int64_t(b.count()));
-    // Prefix sums are monotone.
-    for (std::size_t i = 1; i < p.size(); ++i) EXPECT_GE(p[i], p[i - 1]);
-  }
 }
 
 TEST(BitmapProperty, RowRunsMatchByteScan) {

@@ -1,9 +1,8 @@
 // Golden end-to-end regression: route one small fixed benchmark, then
 // compare the full eval CSV row (wall time pinned to 0) and the per-layer
 // mask-plane fingerprints against the committed fixture in tests/golden/.
-// The same document must come out at every thread count and tile width --
-// this is the whole-pipeline version of the determinism contract
-// (DESIGN.md §5.6/§5.7). Regenerate fixtures with SADP_UPDATE_GOLDEN=1.
+// The same document must come out at every thread count -- this is the
+// whole-pipeline version of the determinism contract (DESIGN.md §5.7). Regenerate fixtures with SADP_UPDATE_GOLDEN=1.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,9 +38,7 @@ std::string hex16(std::uint64_t v) {
 /// CSV (cpuSeconds is the only nondeterministic column, so it is pinned to
 /// 0) followed by one fingerprint line per layer covering all six mask
 /// planes of the decomposition.
-std::string runPipeline(int threads, int tileWords,
-                        BandSchedule schedule = BandSchedule::Static,
-                        OpenList openList = OpenList::Auto) {
+std::string runPipeline(int threads, OpenList openList = OpenList::Auto) {
   setParallelThreads(threads);
   const BenchmarkSpec spec = paperBenchmark("Test1").scaled(0.06);
   BenchmarkInstance inst = makeBenchmark(spec);
@@ -49,10 +46,7 @@ std::string runPipeline(int threads, int tileWords,
   ropts.astar.openList = openList;
   OverlayAwareRouter router(inst.grid, inst.netlist, ropts);
   const RoutingStats stats = router.run();
-  DecomposeOptions opts;
-  opts.tileWords = tileWords;
-  opts.schedule = schedule;
-  const OverlayReport phys = router.physicalReport(opts);
+  const OverlayReport phys = router.physicalReport();
 
   ExperimentRow row;
   row.circuit = spec.name;
@@ -68,7 +62,7 @@ std::string runPipeline(int threads, int tileWords,
   std::ostringstream doc;
   writeCsv(doc, {row});
   for (int layer = 0; layer < inst.grid.layers(); ++layer) {
-    const LayerDecomposition d = router.decompose(layer, opts);
+    const LayerDecomposition d = router.decompose(layer);
     doc << "layer " << layer << " target=" << hex16(fingerprint(d.target))
         << " core=" << hex16(fingerprint(d.coreMask))
         << " spacer=" << hex16(fingerprint(d.spacer))
@@ -83,7 +77,7 @@ std::string runPipeline(int threads, int tileWords,
 TEST(GoldenE2E, MatchesCommittedFixtureAcrossThreadsAndTiling) {
   const std::string path =
       std::string(SADP_GOLDEN_DIR) + "/test1_s006.golden";
-  const std::string fresh = runPipeline(1, -1);
+  const std::string fresh = runPipeline(1);
   if (std::getenv("SADP_UPDATE_GOLDEN")) {
     std::ofstream f(path, std::ios::binary);
     ASSERT_TRUE(f) << "cannot write " << path;
@@ -98,26 +92,11 @@ TEST(GoldenE2E, MatchesCommittedFixtureAcrossThreadsAndTiling) {
   buf << f.rdbuf();
   const std::string golden = buf.str();
   EXPECT_EQ(fresh, golden)
-      << "untiled single-thread pipeline diverged from the fixture";
-  // The document must be invariant to the worker count and the band width:
-  // tiling and threading change how the work is split, never the result.
-  // ... nor to the band schedule: dynamic work stealing must emit the
-  // exact document the fixture froze before the scheduler existed.
-  const struct {
-    int threads, tileWords;
-    BandSchedule schedule;
-  } configs[] = {{1, 2, BandSchedule::Static},
-                 {4, -1, BandSchedule::Static},
-                 {4, 2, BandSchedule::Static},
-                 {1, 2, BandSchedule::Dynamic},
-                 {4, -1, BandSchedule::Dynamic},
-                 {4, 2, BandSchedule::Dynamic},
-                 {4, 0, BandSchedule::Dynamic}};
-  for (const auto& c : configs) {
-    EXPECT_EQ(runPipeline(c.threads, c.tileWords, c.schedule), golden)
-        << "threads=" << c.threads << " tileWords=" << c.tileWords
-        << " schedule=" << (c.schedule == BandSchedule::Dynamic ? "dynamic"
-                                                                : "static");
+      << "single-thread pipeline diverged from the fixture";
+  // The document must be invariant to the worker count: threading changes
+  // how the per-layer work is split, never the result.
+  for (int threads : {2, 4}) {
+    EXPECT_EQ(runPipeline(threads), golden) << "threads=" << threads;
   }
 }
 
@@ -145,16 +124,14 @@ TEST(GoldenE2E, OpenListAndSimdDispatchMatrixByteIdentical) {
                  {OpenList::Heap, SimdLevel::Scalar, "heap/scalar"}};
   for (const auto& c : configs) {
     setBitmapSimdLevel(c.simd);
-    EXPECT_EQ(runPipeline(1, -1, BandSchedule::Static, c.openList), golden)
+    EXPECT_EQ(runPipeline(1, c.openList), golden)
         << c.name << " diverged from the fixture";
   }
   setBitmapSimdLevel(SimdLevel::Auto);
 }
 
-/// The imbalanced fixture the dynamic scheduler exists for: layer-0-style
-/// skewed density -- a dense block of short wires crammed into the low-x
-/// words plus a few sparse wires stretching the window to ~15 words, so
-/// with 2-word bands the leftmost band holds most of the set pixels.
+/// A density-skewed layer: a dense block of short wires crammed into the
+/// low-x words plus a few sparse wires stretching the window to ~15 words.
 std::vector<ColoredFragment> skewedLayer() {
   std::vector<ColoredFragment> frags;
   NetId net = 1;
@@ -182,14 +159,11 @@ std::vector<ColoredFragment> skewedLayer() {
 
 /// Golden document of one decomposition: the overlay report's fields, the
 /// six plane fingerprints, and the cut mask's nm rectangles.
-std::string decomposeDoc(int threads, int tileWords, BandSchedule schedule) {
+std::string decomposeDoc(int threads) {
   setParallelThreads(threads);
   const DesignRules rules;
-  DecomposeOptions opts;
-  opts.tileWords = tileWords;
-  opts.schedule = schedule;
   const std::vector<ColoredFragment> frags = skewedLayer();
-  const LayerDecomposition d = decomposeLayer(frags, rules, opts);
+  const LayerDecomposition d = decomposeLayer(frags, rules);
   std::ostringstream doc;
   doc << "sideOverlayNm=" << d.report.sideOverlayNm
       << " sections=" << d.report.sideOverlaySections
@@ -321,7 +295,7 @@ TEST(GoldenE2E, CongestedTimingFixtureAndSlackClaims) {
 // split hard classes on removal, flips span many OCG components, and
 // repair re-routes nets -- the per-net router paths a byte-identity claim
 // about rip-up, flipping and the cut check has to cover. One
-// configuration only (threads 1, default tiling) to keep the suite fast.
+// configuration only (threads 1) to keep the suite fast.
 std::string quarterTest1Doc() {
   setParallelThreads(1);
   BenchmarkInstance inst = makeBenchmark(paperBenchmark("Test1").scaled(0.25));
@@ -390,7 +364,7 @@ TEST(GoldenE2E, QuarterScaleTest1Fixture) {
 TEST(GoldenE2E, SkewedDensityFixtureInvariantToSchedule) {
   const std::string path =
       std::string(SADP_GOLDEN_DIR) + "/skewed_layer.golden";
-  const std::string fresh = decomposeDoc(1, 2, BandSchedule::Static);
+  const std::string fresh = decomposeDoc(1);
   if (std::getenv("SADP_UPDATE_GOLDEN")) {
     std::ofstream f(path, std::ios::binary);
     ASSERT_TRUE(f) << "cannot write " << path;
@@ -406,19 +380,8 @@ TEST(GoldenE2E, SkewedDensityFixtureInvariantToSchedule) {
   const std::string golden = buf.str();
   EXPECT_EQ(fresh, golden)
       << "serial skewed-layer decomposition diverged from the fixture";
-  const struct {
-    int threads, tileWords;
-    BandSchedule schedule;
-  } configs[] = {{1, -1, BandSchedule::Static},
-                 {4, 2, BandSchedule::Static},
-                 {4, 2, BandSchedule::Dynamic},
-                 {8, 1, BandSchedule::Dynamic},
-                 {4, 0, BandSchedule::Dynamic}};
-  for (const auto& c : configs) {
-    EXPECT_EQ(decomposeDoc(c.threads, c.tileWords, c.schedule), golden)
-        << "threads=" << c.threads << " tileWords=" << c.tileWords
-        << " schedule=" << (c.schedule == BandSchedule::Dynamic ? "dynamic"
-                                                                : "static");
+  for (int threads : {4, 8}) {
+    EXPECT_EQ(decomposeDoc(threads), golden) << "threads=" << threads;
   }
 }
 

@@ -1,7 +1,7 @@
 // MaskCache contract tests (DESIGN.md §5.11): a key hit returns a
 // byte-identical plane, hit/miss/eviction accounting is deterministic,
-// and the key covers exactly the output-affecting inputs (tiling and
-// scheduling knobs are byte-identity-neutral and deliberately excluded).
+// and the key covers exactly the output-affecting inputs (the ignored
+// tileWords field is deliberately excluded).
 #include <gtest/gtest.h>
 
 #include "netlist/benchmark.hpp"
@@ -72,17 +72,15 @@ TEST(MaskCache, KeyIgnoresTilingAndScheduling) {
   MaskCache cache;
   DecomposeOptions a;
   a.cache = &cache;
-  a.tileWords = 4;
-  a.schedule = BandSchedule::Static;
+  a.tileWords = 4;  // ignored by decomposeLayer
   DecomposeOptions b;
   b.cache = &cache;
-  b.tileWords = -1;  // whole-window reference path
-  b.schedule = BandSchedule::Dynamic;
+  b.tileWords = -1;
 
   EXPECT_EQ(maskCacheKey(frags, rules, a), maskCacheKey(frags, rules, b));
   const LayerDecomposition first = decomposeLayer(frags, rules, a);
   const LayerDecomposition second = decomposeLayer(frags, rules, b);
-  EXPECT_EQ(cache.stats().hits, 1);  // differently-tiled request still hits
+  EXPECT_EQ(cache.stats().hits, 1);  // the ignored field never splits keys
   expectSamePlanes(first, second);
 }
 

@@ -150,8 +150,8 @@ TEST(ParallelForWeighted, PropagatesFirstException) {
 }
 
 TEST(ParallelForWeighted, CountersMatchUnweightedLoop) {
-  // The two loop flavors must be indistinguishable in the metrics registry
-  // -- the fuzz suite diffs whole counter snapshots across schedule modes.
+  // The two loop flavors must be indistinguishable in the metrics registry:
+  // counter snapshots are compared across thread counts and route jobs.
   RunContext a, b;
   a.setThreadCount(3);
   b.setThreadCount(3);

@@ -131,7 +131,7 @@ TEST(ServiceFuzz, EcoEditsAtRouteJobs4MatchColdSerialOracle) {
                    &coldCache);  // default RouterOptions: serial routing
       // Same thread budget: the CSV row's trailing column reports it.
       // "Serial" here means routeJobs=1 (sequential net commits), not a
-      // 1-thread decompose -- scheduler equivalence is test_schedule_fuzz.
+      // 1-thread decompose.
       cold.setThreads(4);
       cold.setNets(eco.netSpecs());
       const RouteOutcome ref = cold.routeFull();

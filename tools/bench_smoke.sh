@@ -53,31 +53,6 @@ for f in "$scratch"/serial*.masks; do
 done
 echo "bench_smoke: batch --jobs 2 mask planes byte-identical to serial"
 
-# Scheduler gate: the dynamic work-stealing band schedule must emit mask
-# planes byte-identical to the static schedule and to the serial run --
-# if WHO computes a band ever changes WHAT it computes, perf numbers from
-# this build are meaningless.
-sched_job="--seed-demo 32 --width 120 --height 100 --tile-words 2"
-# shellcheck disable=SC2086
-"$cli" $sched_job --threads 1 --schedule static --masks "$scratch/sched1_" \
-  >/dev/null || [ $? -eq 3 ]
-# shellcheck disable=SC2086
-"$cli" $sched_job --threads 4 --schedule static --masks "$scratch/schedS_" \
-  >/dev/null || [ $? -eq 3 ]
-# shellcheck disable=SC2086
-"$cli" $sched_job --threads 4 --schedule dynamic --masks "$scratch/schedD_" \
-  >/dev/null || [ $? -eq 3 ]
-for f in "$scratch"/sched1*.masks; do
-  for mode in S D; do
-    twin=$(printf '%s' "$f" | sed "s/sched1_/sched${mode}_/")
-    cmp -s "$f" "$twin" || {
-      echo "bench_smoke: --schedule output $twin differs from serial $f" >&2
-      exit 1
-    }
-  done
-done
-echo "bench_smoke: --schedule dynamic mask planes byte-identical to static/serial"
-
 # Wave-routing gate: speculative wave-parallel routing (--route-jobs) must
 # emit mask planes byte-identical to the serial net-by-net loop -- WHO runs
 # an attempt-0 search must never change WHAT gets committed.
@@ -169,7 +144,7 @@ if [ "${BENCH_SMOKE_SKIP_ASAN:-0}" != "1" ]; then
   cmake -S "$repo_root" -B "$asan_dir" -DSADP_SANITIZE=address \
     -DCMAKE_BUILD_TYPE= >/dev/null
   cmake --build "$asan_dir" -j "$(nproc 2>/dev/null || echo 4)" \
-    --target test_astar_equiv test_bitmap_simd test_schedule_fuzz \
+    --target test_astar_equiv test_bitmap_simd \
     test_service_fuzz test_wave_planner test_route_parallel_fuzz \
     test_timing_oracle test_timing_fuzz \
     test_backend_fuzz >/dev/null
@@ -219,6 +194,15 @@ for r in json.load(open(sys.argv[1]))["results"]:
     print(r["name"], r["cpu_ns"])
 EOF
 }
+print_host() {
+  # "<label> host: nproc=N cpu=MODEL" from a bench JSON's host object
+  python3 - "$1" "$2" <<'EOF' >&2
+import json, sys
+h = json.load(open(sys.argv[2])).get("host") or {}
+print("bench_smoke: %s host: nproc=%s cpu=%s"
+      % (sys.argv[1], h.get("nproc", "unknown"), h.get("cpu_model", "unknown")))
+EOF
+}
 extract_ns "$repo_root/BENCH_kernels.json" > "$scratch/base.txt"
 extract_ns "$fresh" > "$scratch/fresh.txt"
 awk 'NR == FNR { base[$1] = $2; next }
@@ -229,6 +213,9 @@ awk 'NR == FNR { base[$1] = $2; next }
        bad = 1
      }
      END { exit bad }' "$scratch/base.txt" "$scratch/fresh.txt" || {
+  # A baseline from another machine explains a "regression" on its own.
+  print_host baseline "$repo_root/BENCH_kernels.json"
+  print_host fresh "$fresh"
   echo "bench_smoke: search-core perf gate failed; baseline left untouched" >&2
   exit 1
 }

@@ -89,3 +89,20 @@ foreach(pair "--negotiate-iters;0" "--negotiate-iters;3x"
   endif()
 endforeach()
 message(STATUS "cli batch smoke OK (bad timing option values rejected)")
+
+# Decomposition always runs over the whole window: the old band-tiling
+# options are usage errors that say so, not silently ignored knobs.
+foreach(pair "--tile-words;2" "--schedule;dynamic")
+  list(GET pair 0 flag)
+  list(GET pair 1 val)
+  execute_process(COMMAND "${CLI}" --seed-demo 10 --width 40 --height 40
+                          "${flag}" "${val}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${flag} ${val} exited ${rc}, want usage error 2\n${err}")
+  endif()
+  if(NOT err MATCHES "usage:" OR NOT err MATCHES "whole-window")
+    message(FATAL_ERROR "${flag} ${val} stderr lacks the whole-window usage error:\n${err}")
+  endif()
+endforeach()
+message(STATUS "cli batch smoke OK (removed tiling options rejected)")

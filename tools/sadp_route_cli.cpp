@@ -21,17 +21,9 @@
 //   --route-jobs N      speculative wave-parallel net routing width
 //                       (default 1 = sequential). Any value yields
 //                       byte-identical masks, CSV and counters.
-//   --tile-words N      column-band width (64-px words) of the tiled
-//                       decomposition morphology; 0 = automatic (default),
-//                       negative = whole-window reference path. Any value
-//                       yields byte-identical reports and masks.
 //   --backend NAME      patterning backend: sadp2 (the default 2-color SADP
 //                       cut process) or tpl3 (triple patterning; emits 3
 //                       exposure planes per layer)
-//   --schedule MODE     band-to-worker assignment of the tiled passes:
-//                       "dynamic" (default) = cost-weighted work stealing,
-//                       "static" = shared-cursor assignment. Either mode
-//                       yields byte-identical reports, masks, and counters.
 //   --timing            timing-driven mode: net-level static timing
 //                       (estimated delays, proximity edges) orders nets by
 //                       criticality and scales per-net search weights; the
@@ -93,7 +85,6 @@ struct CliArgs {
   std::string metricsFile;
   int seedDemo = 0;
   int threads = 0;
-  DecomposeOptions decompose;
   RouterOptions router;
 };
 
@@ -103,8 +94,7 @@ struct CliArgs {
                "       [--layers N] [--svg PREFIX] [--masks PREFIX]\n"
                "       [--csv FILE] [--no-flip] [--no-cut-check]\n"
                "       [--no-repair] [--seed-demo N] [--threads N]\n"
-               "       [--route-jobs N] [--tile-words N]\n"
-               "       [--backend sadp2|tpl3] [--schedule static|dynamic]\n"
+               "       [--route-jobs N] [--backend sadp2|tpl3]\n"
                "       [--timing] [--negotiate] [--negotiate-iters N]\n"
                "       [--history-cost X] [--trace FILE] [--metrics FILE]\n"
                "   or: sadp_route_cli --batch LIST-FILE [--jobs N]\n";
@@ -179,8 +169,9 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
       if (a.router.routeJobs <= 0) {
         usage("--route-jobs wants a positive count");
       }
-    } else if (opt == "--tile-words") {
-      a.decompose.tileWords = parseIntOpt("--tile-words", value(i));
+    } else if (opt == "--tile-words" || opt == "--schedule") {
+      usage((opt + " was removed: decomposition always runs whole-window")
+                .c_str());
     } else if (opt == "--backend") {
       const std::string& name = value(i);
       a.router.backend = findPatterningBackend(name);
@@ -188,15 +179,6 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
         usage(("unknown --backend '" + name + "' (expected one of: " +
                patterningBackendNames() + ")")
                   .c_str());
-      }
-    } else if (opt == "--schedule") {
-      const std::string& mode = value(i);
-      if (mode == "static") {
-        a.decompose.schedule = BandSchedule::Static;
-      } else if (mode == "dynamic") {
-        a.decompose.schedule = BandSchedule::Dynamic;
-      } else {
-        usage("--schedule wants 'static' or 'dynamic'");
       }
     } else if (opt == "--timing") {
       a.router.timingDriven = true;
@@ -286,7 +268,7 @@ RunOutput runOne(const CliArgs& args) {
   RoutingGrid grid(args.width, args.height, args.layers, DesignRules{});
   OverlayAwareRouter router(grid, netlist, args.router, &ctx);
   const RoutingStats stats = router.run();
-  const OverlayReport report = router.physicalReport(args.decompose);
+  const OverlayReport report = router.physicalReport();
 
   os << "nets        " << stats.totalNets << "\n"
      << "threads     " << ctx.threadCount() << "\n"
@@ -309,7 +291,7 @@ RunOutput runOne(const CliArgs& args) {
 
   for (int layer = 0; layer < grid.layers(); ++layer) {
     if (!args.svgPrefix.empty() || !args.maskPrefix.empty()) {
-      const LayerDecomposition d = router.decompose(layer, args.decompose);
+      const LayerDecomposition d = router.decompose(layer);
       if (!args.svgPrefix.empty()) {
         const auto frags = router.coloredFragments(layer);
         writeLayerSvgFile(args.svgPrefix + std::to_string(layer) + ".svg", d,
