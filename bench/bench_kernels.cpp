@@ -284,33 +284,6 @@ void BM_DecomposeLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_DecomposeLayer)->Arg(16)->Arg(64);
 
-// ---- Wave-parallel routing (speculative prefetch, DESIGN.md §5.12) ---------
-
-/// Full routing run at a given routeJobs. jobs=1 is the untouched serial
-/// loop; jobs>1 adds wave planning plus speculative attempt-0 searches
-/// ahead of the commit frontier (output byte-identical by construction,
-/// held by tests/test_route_parallel_fuzz.cpp). The instance is rebuilt
-/// outside the timed region each iteration -- run() consumes the grid.
-void BM_RouteWaves(benchmark::State& state) {
-  const int jobs = int(state.range(0));
-  const BenchmarkSpec spec = paperBenchmark("Test2").scaled(0.15);
-  setParallelThreads(jobs);
-  for (auto _ : state) {
-    state.PauseTiming();
-    BenchmarkInstance inst = makeBenchmark(spec);
-    RunContext ctx;
-    ctx.setThreadCount(jobs);
-    RouterOptions ro;
-    ro.routeJobs = jobs;
-    state.ResumeTiming();
-    OverlayAwareRouter router(inst.grid, inst.netlist, ro, &ctx);
-    benchmark::DoNotOptimize(router.run());
-  }
-  setParallelThreads(0);
-}
-BENCHMARK(BM_RouteWaves)->Arg(1)->Arg(4)->ArgName("jobs")
-    ->Unit(benchmark::kMillisecond);
-
 // ---- Negotiated-congestion routing (PathFinder pre-phase, §5.14) -----------
 
 /// Timing-driven run with the PathFinder negotiation pre-phase enabled:

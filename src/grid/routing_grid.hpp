@@ -101,13 +101,6 @@ class RoutingGrid {
   /// Count of nodes owned by real nets (diagnostics).
   std::size_t occupiedCount() const;
 
-  /// Non-free nodes (nets and blockages) inside a track-space box, summed
-  /// over all layers; the box is clamped to the grid. Cheap congestion
-  /// probe for scheduling heuristics -- the wave router weighs a net by
-  /// bbox area x occupancy so `parallelForWeighted` starts the crowded
-  /// searches first (route/router.cpp).
-  std::int64_t occupiedInBox(const Rect& trBox) const;
-
   // --- PathFinder negotiated-congestion state (DESIGN.md §5.14) ---
   //
   // During the router's negotiation pre-phase nets share cells instead of

@@ -247,10 +247,10 @@ AStarEngine::AStarEngine(const RoutingGrid& grid, RunContext* ctx)
       targetStamp_(grid.nodeCount(), 0) {
   MetricsRegistry& m =
       ctx ? ctx->metrics() : RunContext::current().metrics();
-  routesCounter_ = &m.counter(astar_metric::kRoutes);
-  expansionsCounter_ = &m.counter(astar_metric::kExpansions);
-  heapPushesCounter_ = &m.counter(astar_metric::kHeapPushes);
-  expansionsPerRoute_ = &m.histogram(astar_metric::kExpansionsPerRoute);
+  routesCounter_ = &m.counter("astar.routes");
+  expansionsCounter_ = &m.counter("astar.expansions");
+  heapPushesCounter_ = &m.counter("astar.heap_pushes");
+  expansionsPerRoute_ = &m.histogram("astar.expansions_per_route");
 }
 
 template <bool kRecord, class Open>

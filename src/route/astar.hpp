@@ -48,17 +48,6 @@ struct AStarParams {
 
 struct SearchFootprint;  // route/route_memo.hpp: recorded read set
 
-/// Registry names of the engine's per-route() metrics. Shared with the
-/// wave-parallel router, which replays a verified speculative search's
-/// exact counter deltas into the committing context so counter snapshots
-/// stay byte-identical to a live serial search (route/router.cpp).
-namespace astar_metric {
-inline constexpr const char* kRoutes = "astar.routes";
-inline constexpr const char* kExpansions = "astar.expansions";
-inline constexpr const char* kHeapPushes = "astar.heap_pushes";
-inline constexpr const char* kExpansionsPerRoute = "astar.expansions_per_route";
-}  // namespace astar_metric
-
 /// Exact power-of-two fixed-point scale for an AStarParams cost model:
 /// the smallest 2^shift under which alpha, beta and alpha*wrongWay are all
 /// integers with zero precision loss (checked by exact double round-trip).

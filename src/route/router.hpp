@@ -82,17 +82,6 @@ struct RouterOptions {
   /// Shared decomposition cache applied to every decomposeLayer the router
   /// issues (cut-conflict windows, repair probes, sign-off). Null = off.
   MaskCache* maskCache = nullptr;
-  /// Wave-parallel routing (DESIGN.md §5.12): number of concurrent
-  /// speculative A* searches run ahead of the commit frontier. Nets are
-  /// planned into spatially independent waves (d_indep-inflated bbox
-  /// overlap graph, route/waves.hpp) and a wave's pending searches execute
-  /// on private engines while commits proceed strictly in the canonical
-  /// serial order; a speculative result is only committed when its
-  /// recorded read footprint verifies against commit-time state, so mask
-  /// fingerprints, reports, CSV rows and counter snapshots are
-  /// byte-identical to serial routing for every value. <= 1 keeps the
-  /// plain sequential loop.
-  int routeJobs = 1;
   /// Patterning backend (DESIGN.md §5.13): the coloring interpretation,
   /// recoloring pass, and mask synthesis the run uses. Null resolves the
   /// run context's patterningBackendName(), itself defaulting to the
@@ -111,7 +100,7 @@ struct RouterOptions {
   /// maxNegotiateIters). The accumulated history survives into the main
   /// exclusive-occupancy loop as a base penalty field, steering it away
   /// from the contested cells up front. Deterministic and serial: results
-  /// stay byte-identical across routeJobs values and ECO replay.
+  /// stay byte-identical across thread counts and ECO replay.
   bool negotiate = false;
   int maxNegotiateIters = 16;     ///< negotiation iteration cap
   float historyIncrement = 1.0f;  ///< history added per overflowed cell/iter
@@ -154,7 +143,6 @@ class OverlayAwareRouter {
   /// concurrent routers with distinct contexts are fully isolated.
   OverlayAwareRouter(RoutingGrid& grid, const Netlist& netlist,
                      RouterOptions options = {}, RunContext* ctx = nullptr);
-  ~OverlayAwareRouter();  // out of line: WaveState is private to router.cpp
 
   /// Routes every net; returns aggregate statistics.
   RoutingStats run();
@@ -166,13 +154,6 @@ class OverlayAwareRouter {
   const RoutingStats& stats() const { return stats_; }
   /// Memo hits accepted via the changed-region fast path this run.
   std::int64_t verifySkips() const { return counters_.verifySkips->value(); }
-  /// Wave-speculation accounting: speculative searches whose footprint
-  /// verified at commit (hits) vs. discarded ones (misses). Plain members,
-  /// not metrics counters -- counter snapshots must stay byte-identical
-  /// across routeJobs values, and these by definition cannot.
-  std::int64_t waveSpecHits() const { return waveSpecHits_; }
-  std::int64_t waveSpecMisses() const { return waveSpecMisses_; }
-
   /// Colored fragments of one layer for mask synthesis / reporting.
   std::vector<ColoredFragment> coloredFragments(int layer) const;
 
@@ -207,20 +188,8 @@ class OverlayAwareRouter {
                                         const AStarParams& params,
                                         const PenaltyField* extra,
                                         const T2bField* t2b);
-  /// The live engine_.route() call site shared by the memoized and
-  /// memo-less paths: consumes the net's pending speculative search when
-  /// its key and footprint verify against commit-time state (replaying
-  /// the recorded search-counter deltas), else searches for real. A
-  /// non-null `fpOut` receives the search's read footprint.
-  std::optional<AStarResult> searchOrSpec(NetId net,
-                                          std::span<const GridNode> sources,
-                                          std::span<const GridNode> targets,
-                                          const AStarParams& params,
-                                          const PenaltyField* extra,
-                                          const T2bField* t2b,
-                                          SearchFootprint* fpOut);
   /// Identity of an engine.route() call under current router state
-  /// (route/route_memo.hpp); shared by memoization and wave speculation.
+  /// (route/route_memo.hpp).
   SearchMemoKey makeSearchKey(std::span<const GridNode> sources,
                               std::span<const GridNode> targets,
                               const AStarParams& params,
@@ -244,17 +213,9 @@ class OverlayAwareRouter {
   std::vector<GridNode> negotiationSearch(const Net& net,
                                           PenaltyField& negField);
   /// Clears ripUpField_ and replays the negotiation history base into it;
-  /// ripUpHistoryHash_ lands on the precomputed negBaseHash_, so memo and
-  /// speculation keys stay stable across reruns and ECO replay.
+  /// ripUpHistoryHash_ lands on the same value every time, so memo keys
+  /// stay stable across reruns and ECO replay.
   void resetRipUpFieldToBase();
-  /// Builds the wave plan and the speculative engine pool for `order`
-  /// (the canonical commit order). Only called when opts_.routeJobs > 1.
-  void prepareWaves(std::span<const Net* const> order);
-  /// Issues the speculative batch for the wave of the net at `pos` when
-  /// the commit frontier reaches it unspeculated: every not-yet-planned
-  /// member of that wave within a short look-ahead horizon searches
-  /// concurrently on private engines against current (frozen) state.
-  void speculateFrontier(std::span<const Net* const> order, std::size_t pos);
   /// True when every recorded read matches current grid / field state.
   bool footprintMatches(const SearchFootprint& fp, NetId net,
                         const PenaltyField* extra, const T2bField* t2b) const;
@@ -306,17 +267,7 @@ class OverlayAwareRouter {
     Counter* verifySkips;
     Counter* negotiateIters;
     Histogram* negotiateOverflow;
-    // The engine's own metric handles, re-resolved here so a verified
-    // speculative search can replay its recorded deltas into ctx_
-    // (astar_metric names; same underlying objects engine_ flushes to).
-    Counter* astarRoutes;
-    Counter* astarExpansions;
-    Counter* astarHeapPushes;
-    Histogram* astarExpansionsPerRoute;
   };
-
-  struct SpecEntry;   // one speculative search + its counter deltas
-  struct WaveState;   // plan, engine pool, pending table (router.cpp)
 
   RoutingGrid* grid_;
   const Netlist* netlist_;
@@ -347,18 +298,8 @@ class OverlayAwareRouter {
   /// must not drift when post-route delays change the critical path).
   std::int64_t timingPeriod_ = 0;
   /// Negotiation history carried into the main loop: sorted nonzero
-  /// (node, cost) cells replayed into ripUpField_ per net, plus the hash
-  /// and summaries that replay deterministically produces. A frozen copy
-  /// (negBase_) backs speculative attempt-0 searches so their keys and
-  /// footprints verify against the replayed ripUpField_ at commit time.
+  /// (node, cost) cells replayed into ripUpField_ per net.
   std::vector<std::pair<GridNode, float>> negBaseCells_;
-  std::uint64_t negBaseHash_ = 0;
-  std::unique_ptr<PenaltyField> negBase_;
-  /// Live only during the wave-parallel main loop of run(); null keeps
-  /// every search on the plain serial path.
-  std::unique_ptr<WaveState> waves_;
-  std::int64_t waveSpecHits_ = 0;
-  std::int64_t waveSpecMisses_ = 0;
 };
 
 }  // namespace sadp

@@ -14,7 +14,7 @@
 // folds it into AStarParams::wrongWay as crit64/64, which stays exactly
 // representable under the PR-6 power-of-two fixed-point cost scale
 // (deriveFixedCostScale) -- timing-driven searches keep the bucket-queue
-// fast path and byte-identical memo/speculation keys.
+// fast path and byte-identical memo keys.
 #pragma once
 
 #include <cstdint>

@@ -75,10 +75,6 @@ int RunContext::reserveExtraWorkers(int want) {
   return grant;
 }
 
-int RunContext::fanOutWidth(int want) const {
-  return std::max(1, std::min(want, threadCount()));
-}
-
 void RunContext::releaseExtraWorkers(int n) {
   if (n <= 0) return;
   std::lock_guard<std::mutex> lock(poolMutex());

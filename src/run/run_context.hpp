@@ -66,15 +66,6 @@ class RunContext {
   int reserveExtraWorkers(int want);
   void releaseExtraWorkers(int n);
 
-  /// Width for a nested fan-out of `want` concurrent items launched from
-  /// work running under this context: 1 .. min(want, threadCount()).
-  /// A caller hosting its own child context for an inner parallel stage
-  /// (the router's speculative wave batches) sizes that context with this
-  /// so the nested loop reuses the run's configured worker budget instead
-  /// of a fresh env-derived default; the process-wide reservation pool
-  /// still bounds how many extra workers actually materialize.
-  int fanOutWidth(int want) const;
-
   /// Default patterning backend for work run under this context, by
   /// registry name ("sadp2", "tpl3"; empty = sadp2). Consumed by the
   /// router when RouterOptions::backend is null -- the service sets it per

@@ -198,8 +198,7 @@ void scalarFilterCols(const std::uint64_t* in, std::uint64_t* out, int h,
   }
 }
 
-const BitmapKernels kScalarKernels{&scalarFilterRows, &scalarFilterCols,
-                                   &scalarTranspose64};
+const BitmapKernels kScalarKernels{&scalarFilterRows, &scalarFilterCols};
 
 namespace {
 
@@ -309,51 +308,6 @@ Bitmap Bitmap::openedAnchored(int k) const {
                 1 - k, 0, false);
   kn.filterCols(mid.words_.data(), out.words_.data(), h_, wpr_, 1 - k, 0,
                 false);
-  return out;
-}
-
-namespace detail {
-
-/// In-place transpose of a 64 x 64 bit block stored LSB-first (bit x of
-/// a[y] is pixel (x, y)). Recursive block swaps: at scale j the low-column
-/// half of the lower row block trades places with the high-column half of
-/// the upper one; the mask update `m ^= m << j` regenerates the low-half
-/// selector at each scale.
-void scalarTranspose64(std::uint64_t a[64]) {
-  std::uint64_t m = 0x00000000FFFFFFFFull;
-  for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
-      a[k + j] ^= t;
-      a[k] ^= t << j;
-    }
-  }
-}
-
-}  // namespace detail
-
-Bitmap Bitmap::transposed() const {
-  const detail::BitmapKernels& kn = detail::activeKernels();
-  Bitmap out(h_, w_);
-  const int outWpr = out.wpr_;
-  std::uint64_t tile[64];
-  const int rowBlocks = (h_ + 63) >> 6;
-  for (int by = 0; by < rowBlocks; ++by) {
-    const int y0 = by << 6;
-    const int rows = std::min(64, h_ - y0);
-    for (int bx = 0; bx < wpr_; ++bx) {
-      for (int i = 0; i < rows; ++i) {
-        tile[i] = words_[std::size_t(y0 + i) * wpr_ + bx];
-      }
-      std::fill(tile + rows, tile + 64, 0);  // rows past h_ read as unset
-      kn.transpose64(tile);
-      const int x0 = bx << 6;
-      const int cols = std::min(64, w_ - x0);
-      for (int i = 0; i < cols; ++i) {
-        out.words_[std::size_t(x0 + i) * outWpr + by] = tile[i];
-      }
-    }
-  }
   return out;
 }
 

@@ -75,12 +75,6 @@ class Bitmap {
   /// Morphological opening: removes features of Chebyshev width <= 2r.
   Bitmap opened(int r) const { return eroded(r).dilated(r); }
 
-  /// The H x W transpose: pixel (x, y) maps to (y, x). Runs 64 x 64 bit
-  /// blocks through a word-parallel in-register transpose, so column
-  /// structure becomes row structure at word speed; the zero-tail invariant
-  /// of the input doubles as the zero padding of the output.
-  Bitmap transposed() const;
-
   /// Opening with a k x k structuring element anchored at its top-left
   /// corner (erosion over [x,x+k) x [y,y+k), then dilation with the
   /// reflected element). An opening is invariant under SE translation, so
@@ -115,9 +109,9 @@ class Bitmap {
 };
 
 /// Dispatch level of the word-parallel morphology kernels (the separable
-/// dilate/erode filters and the 64 x 64 bit transpose). Scalar and Avx2
-/// are byte-identical by contract (tests/test_bitmap_simd.cpp); Avx2 is
-/// selected only when the CPU reports support.
+/// dilate/erode filters). Scalar and Avx2 are byte-identical by contract
+/// (tests/test_bitmap_simd.cpp); Avx2 is selected only when the CPU
+/// reports support.
 enum class SimdLevel : std::uint8_t { Auto, Scalar, Avx2 };
 
 /// Runtime override of the kernel dispatch (process-wide, atomic).

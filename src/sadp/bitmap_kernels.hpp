@@ -1,11 +1,11 @@
 // Internal kernel table for Bitmap's word-parallel morphology primitives
-// (DESIGN.md §5.9). The three hot kernels -- the separable row/column
-// OR/AND filters behind dilate/erode/open and the 64 x 64 in-register bit
-// transpose -- exist in a scalar form (always available, the semantic
-// reference) and an AVX2 form compiled in bitmap_simd.cpp. Dispatch is
-// resolved at runtime from CPUID, the SADP_FORCE_SCALAR environment
-// variable, and the setBitmapSimdLevel() override; both forms are
-// byte-identical by contract, property-tested in tests/test_bitmap_simd.cpp.
+// (DESIGN.md §5.9). The two hot kernels -- the separable row/column
+// OR/AND filters behind dilate/erode/open -- exist in a scalar form
+// (always available, the semantic reference) and an AVX2 form compiled in
+// bitmap_simd.cpp. Dispatch is resolved at runtime from CPUID, the
+// SADP_FORCE_SCALAR environment variable, and the setBitmapSimdLevel()
+// override; both forms are byte-identical by contract, property-tested in
+// tests/test_bitmap_simd.cpp.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +22,12 @@ struct BitmapKernels {
   /// the raster read as unset.
   void (*filterCols)(const std::uint64_t* in, std::uint64_t* out, int h,
                      int wpr, int lo, int hi, bool isAnd);
-  /// In-place transpose of a 64 x 64 bit block stored LSB-first.
-  void (*transpose64)(std::uint64_t a[64]);
 };
 
 void scalarFilterRows(const std::uint64_t* in, std::uint64_t* out, int h,
                       int wpr, std::uint64_t tail, int lo, int hi, bool isAnd);
 void scalarFilterCols(const std::uint64_t* in, std::uint64_t* out, int h,
                       int wpr, int lo, int hi, bool isAnd);
-void scalarTranspose64(std::uint64_t a[64]);
 
 extern const BitmapKernels kScalarKernels;
 /// AVX2 implementations (bitmap_simd.cpp); aliases the scalar kernels when

@@ -136,81 +136,9 @@ void avx2FilterCols(const std::uint64_t* in, std::uint64_t* out, int h,
   }
 }
 
-/// One swap stage of the 64 x 64 bit transpose for block distance J >= 4:
-/// the paired rows k and k+J live in different vectors, so four rows go
-/// through the scalar butterfly (t = ((a[k] >> J) ^ a[k+J]) & m;
-/// a[k+J] ^= t; a[k] ^= t << J) at once.
-template <int J>
-inline void stageWide(std::uint64_t* a, __m256i mv) {
-  static_assert(J >= 4);
-  for (int base = 0; base < 64; base += 2 * J) {
-    for (int k = base; k < base + J; k += 4) {
-      __m256i av =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k));
-      __m256i bv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k + J));
-      const __m256i t = _mm256_and_si256(
-          _mm256_xor_si256(_mm256_srli_epi64(av, J), bv), mv);
-      bv = _mm256_xor_si256(bv, t);
-      av = _mm256_xor_si256(av, _mm256_slli_epi64(t, J));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + k), av);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + k + J), bv);
-    }
-  }
-}
-
-void avx2Transpose64(std::uint64_t a[64]) {
-  // Same butterfly network as scalarTranspose64, four rows per vector.
-  // Stages J >= 4 pair rows across vectors (stageWide); stages J = 2 and
-  // J = 1 pair rows inside one vector, handled with lane permutes: build
-  // t in the low lane of each pair, then XOR t << J into the low lanes
-  // and t into the high lanes via a 32-bit blend.
-  __m256i m = _mm256_set1_epi64x(0x00000000FFFFFFFFll);
-  stageWide<32>(a, m);
-  m = _mm256_set1_epi64x(0x0000FFFF0000FFFFll);
-  stageWide<16>(a, m);
-  m = _mm256_set1_epi64x(0x00FF00FF00FF00FFll);
-  stageWide<8>(a, m);
-  m = _mm256_set1_epi64x(0x0F0F0F0F0F0F0F0Fll);
-  stageWide<4>(a, m);
-
-  // J = 2: lanes (0,1) pair with (2,3) inside each vector of 4 rows.
-  m = _mm256_set1_epi64x(0x3333333333333333ll);
-  for (int k = 0; k < 64; k += 4) {
-    __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k));
-    // pv = [a2, a3, a0, a1]: partner rows into every lane.
-    const __m256i pv = _mm256_permute4x64_epi64(av, 0x4E);
-    // Valid in lanes 0,1: t = ((a[k] >> 2) ^ a[k+2]) & m.
-    const __m256i t = _mm256_and_si256(
-        _mm256_xor_si256(_mm256_srli_epi64(av, 2), pv), m);
-    // tl = [t0, t1, t0, t1]; low lanes get t << 2, high lanes get t.
-    const __m256i tl = _mm256_permute4x64_epi64(t, 0x44);
-    av = _mm256_xor_si256(
-        av, _mm256_blend_epi32(_mm256_slli_epi64(tl, 2), tl, 0xF0));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + k), av);
-  }
-
-  // J = 1: lane 0 pairs with 1, lane 2 with 3.
-  m = _mm256_set1_epi64x(0x5555555555555555ll);
-  for (int k = 0; k < 64; k += 4) {
-    __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k));
-    // pv = [a1, a0, a3, a2].
-    const __m256i pv = _mm256_permute4x64_epi64(av, 0xB1);
-    // Valid in lanes 0 and 2.
-    const __m256i t = _mm256_and_si256(
-        _mm256_xor_si256(_mm256_srli_epi64(av, 1), pv), m);
-    // tl = [t0, t0, t2, t2]; even lanes get t << 1, odd lanes get t.
-    const __m256i tl = _mm256_permute4x64_epi64(t, 0xA0);
-    av = _mm256_xor_si256(
-        av, _mm256_blend_epi32(_mm256_slli_epi64(tl, 1), tl, 0xCC));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(a + k), av);
-  }
-}
-
 }  // namespace
 
-const BitmapKernels kAvx2Kernels{&avx2FilterRows, &avx2FilterCols,
-                                 &avx2Transpose64};
+const BitmapKernels kAvx2Kernels{&avx2FilterRows, &avx2FilterCols};
 
 }  // namespace sadp::detail
 
@@ -221,8 +149,7 @@ namespace sadp::detail {
 // Alias the scalar reference so dispatch tables stay well-formed; runtime
 // selection never picks this table unless CPUID reported AVX2, which
 // cannot happen on these builds anyway.
-const BitmapKernels kAvx2Kernels{&scalarFilterRows, &scalarFilterCols,
-                                 &scalarTranspose64};
+const BitmapKernels kAvx2Kernels{&scalarFilterRows, &scalarFilterCols};
 
 }  // namespace sadp::detail
 

@@ -119,8 +119,6 @@ void addOutcome(JsonValue& r, const RouteOutcome& o) {
   r.set("searches", o.searches);
   r.set("memo_hits", o.memoHits);
   r.set("verify_skips", o.verifySkips);
-  r.set("wave_spec_hits", o.waveSpecHits);
-  r.set("wave_spec_misses", o.waveSpecMisses);
   r.set("cache_hits", o.cacheHits);
   r.set("cache_misses", o.cacheMisses);
   r.set("nets_dirty", o.netsDirty);
@@ -592,17 +590,14 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
       c != nullptr && c->isBool() && !c->asBool()) {
     cache = nullptr;
   }
-  // {"route_jobs":N} opts the session into wave-parallel routing (both
-  // the initial full route and every ECO replay take the same wave path);
-  // results are byte-identical to the serial default by construction.
-  RouterOptions routerOpts;
-  if (const auto v = intField(req, "route_jobs"); v) {
-    if (*v < 1) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request", "route_jobs must be >= 1");
-    }
-    routerOpts.routeJobs = int(*v);
+  // Nets always commit one at a time: the old wave-parallel knob is an
+  // error that says so, not a silently ignored field.
+  if (req.find("route_jobs") != nullptr) {
+    *errCode = "bad_request";
+    return errResp(&req, "bad_request",
+                   "route_jobs was removed: nets always route sequentially");
   }
+  RouterOptions routerOpts;
   // {"backend":"tpl3"} selects the session's patterning backend; absent
   // means sadp2 (byte-identical to the pre-backend service).
   if (const JsonValue* b = req.find("backend"); b != nullptr) {

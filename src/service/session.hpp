@@ -71,11 +71,6 @@ struct RouteOutcome {
   std::int64_t memoHits = 0;  ///< searches replayed from verified memos
   /// Hits accepted via the changed-region fast path (no per-cell walk).
   std::int64_t verifySkips = 0;
-  /// Speculative wave searches committed / discarded (0/0 unless the
-  /// session's RouterOptions::routeJobs > 1). Observability only: the
-  /// routed output is byte-identical to serial either way.
-  std::int64_t waveSpecHits = 0;
-  std::int64_t waveSpecMisses = 0;
   std::int64_t cacheHits = 0;    ///< MaskCache hits during this run
   std::int64_t cacheMisses = 0;  ///< MaskCache misses during this run
   int netsDirty = 0;  ///< memo logs dropped by the edit's dirty region

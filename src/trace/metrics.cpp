@@ -12,7 +12,7 @@
 namespace sadp {
 
 namespace metrics_detail {
-thread_local MetricsRegistry* t_registry = nullptr;
+constinit thread_local MetricsRegistry* t_registry = nullptr;
 }  // namespace metrics_detail
 
 void Histogram::add(std::int64_t v) {

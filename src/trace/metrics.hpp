@@ -105,7 +105,8 @@ class MetricsRegistry {
 MetricsRegistry* bindThreadMetricsRegistry(MetricsRegistry* r);
 
 namespace metrics_detail {
-extern thread_local MetricsRegistry* t_registry;  ///< null = instance()
+/// null = instance(). constinit for the same reason as trace_detail::t_level.
+extern constinit thread_local MetricsRegistry* t_registry;
 }  // namespace metrics_detail
 
 /// The calling thread's bound registry (instance() when unbound).

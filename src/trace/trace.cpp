@@ -12,7 +12,7 @@ namespace sadp {
 
 namespace trace_detail {
 std::atomic<int> g_level{0};
-thread_local const std::atomic<int>* t_level = nullptr;
+constinit thread_local const std::atomic<int>* t_level = nullptr;
 }  // namespace trace_detail
 
 namespace {

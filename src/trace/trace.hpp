@@ -49,7 +49,10 @@ TraceLevel traceLevel();
 namespace trace_detail {
 extern std::atomic<int> g_level;  ///< default sink's level, relaxed access
 /// Bound sink's level storage for this thread; null = default sink.
-extern thread_local const std::atomic<int>* t_level;
+/// constinit: no dynamic initializer, so reads are plain TLS loads rather
+/// than calls through a TLS init wrapper (which UBSan flags as a load
+/// through a null pointer).
+extern constinit thread_local const std::atomic<int>* t_level;
 inline int levelRelaxed() {
   const std::atomic<int>* p = t_level;
   return (p ? *p : g_level).load(std::memory_order_relaxed);

@@ -7,9 +7,7 @@
 // produces byte-identical results.
 #pragma once
 
-#include <cstdint>
 #include <functional>
-#include <span>
 
 namespace sadp {
 
@@ -45,31 +43,5 @@ void parallelFor(RunContext& ctx, int n, const std::function<void(int)>& fn);
 /// Context-less shim: runs under the calling thread's bound context
 /// (RunContext::current(); the default context when unbound).
 void parallelFor(int n, const std::function<void(int)>& fn);
-
-/// Cost-weighted work-stealing variant of parallelFor: the same contract
-/// (fn(0)..fn(n-1) each invoked exactly once, same worker budget, same
-/// parallel.calls/parallel.jobs counters, byte-identical results by the
-/// determinism contract above), but assignment is scheduled by weight
-/// instead of a single shared cursor.
-///
-/// weights[i] estimates the relative cost of iteration i (values <= 0 are
-/// treated as 1; weights.size() must be >= n). Items are pre-partitioned
-/// into one run queue per granted worker by descending weight (greedy
-/// longest-processing-time, deterministic in the weights and worker
-/// count). Each queue is an immutable item list behind an atomic chunk
-/// cursor: the owner drains its own queue front to back, and a worker
-/// whose queue runs dry steals by advancing the cursor of the next
-/// non-empty victim queue -- so a mispredicted weight costs balance, never
-/// correctness, and no locks are taken on the work path. Steals surface
-/// as parallel.steal trace spans (scheduling-dependent, like
-/// parallel.worker; never as metrics counters, which must stay
-/// schedule-invariant).
-void parallelForWeighted(RunContext& ctx, int n,
-                         std::span<const std::int64_t> weights,
-                         const std::function<void(int)>& fn);
-
-/// Context-less shim of the weighted variant.
-void parallelForWeighted(int n, std::span<const std::int64_t> weights,
-                         const std::function<void(int)>& fn);
 
 }  // namespace sadp

@@ -5,9 +5,8 @@
 //
 //   sadp2 -- selecting the SADP backend EXPLICITLY (RouterOptions::backend,
 //   or the RunContext backend name the CLI/service route through) must be
-//   byte-identical to not selecting any backend at all, across the serial
-//   loop, wave-parallel routing (--route-jobs), and the service's ECO
-//   replay path: per-layer mask fingerprints, committed routes, overlay
+//   byte-identical to not selecting any backend at all, across the route
+//   loop and the service's ECO replay path: per-layer mask fingerprints, committed routes, overlay
 //   report, CSV row, and the full metric counter snapshot. Combined with
 //   test_golden_e2e (which pins the default path against committed
 //   pre-refactor fixtures), this proves `--backend sadp2` output equals
@@ -59,13 +58,12 @@ struct RouteDigest {
 
 enum class Select { Default, ExplicitOption, ContextName };
 
-RouteDigest routeOnce(const BenchmarkSpec& spec, Select how, int routeJobs) {
+RouteDigest routeOnce(const BenchmarkSpec& spec, Select how) {
   RunContext ctx;
   ctx.setThreadCount(2);
   if (how == Select::ContextName) ctx.setPatterningBackendName("sadp2");
   BenchmarkInstance inst = makeBenchmark(spec);
   RouterOptions ro;
-  ro.routeJobs = routeJobs;
   if (how == Select::ExplicitOption) ro.backend = &sadp2Backend();
   OverlayAwareRouter router(inst.grid, inst.netlist, ro, &ctx);
   const RoutingStats stats = router.run();
@@ -108,15 +106,12 @@ void expectSameDigest(const RouteDigest& got, const RouteDigest& ref,
 TEST(BackendFuzz, ExplicitSadp2ByteIdenticalToDefault) {
   for (std::uint32_t seed = 1; seed <= 6; ++seed) {
     const BenchmarkSpec spec = fuzzSpec(seed);
-    for (int jobs : {1, 4}) {
-      const RouteDigest ref = routeOnce(spec, Select::Default, jobs);
-      const std::string tag =
-          "seed " + std::to_string(seed) + " jobs " + std::to_string(jobs);
-      expectSameDigest(routeOnce(spec, Select::ExplicitOption, jobs), ref,
-                       tag + " explicit-option");
-      expectSameDigest(routeOnce(spec, Select::ContextName, jobs), ref,
-                       tag + " context-name");
-    }
+    const RouteDigest ref = routeOnce(spec, Select::Default);
+    const std::string tag = "seed " + std::to_string(seed);
+    expectSameDigest(routeOnce(spec, Select::ExplicitOption), ref,
+                     tag + " explicit-option");
+    expectSameDigest(routeOnce(spec, Select::ContextName), ref,
+                     tag + " context-name");
   }
 }
 

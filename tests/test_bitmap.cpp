@@ -466,24 +466,6 @@ TEST(BitmapProperty, RasterToNmRectsMatchesNaiveSweep) {
     }
 }
 
-TEST(BitmapProperty, TransposedMatchesByteReference) {
-  std::mt19937 rng(86420);
-  for (int w : kWidths)
-    for (int h : {1, 7, 63, 64, 65, 127}) {
-      const Bitmap b = randomBitmap(w, h, 0.4, rng);
-      const Bitmap t = b.transposed();
-      ASSERT_EQ(t.width(), h) << "w=" << w << " h=" << h;
-      ASSERT_EQ(t.height(), w) << "w=" << w << " h=" << h;
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-          ASSERT_EQ(t.get(y, x), b.get(x, y))
-              << "w=" << w << " h=" << h << " at (" << x << "," << y << ")";
-      // Word-wise equality (operator==) also checks that the transpose
-      // preserved the zero-tail invariant of the packed rows.
-      EXPECT_EQ(t.transposed(), b) << "w=" << w << " h=" << h;
-    }
-}
-
 // Pixel-walk reference of the cut-spacing kernel: for each axis, gaps
 // between consecutive runs shorter than minGap, kept where target is set
 // (the seed's scalar column walk, applied to both axes).

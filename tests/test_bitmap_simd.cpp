@@ -1,7 +1,7 @@
 // Property suite for the bitmap kernel dispatch (DESIGN.md §5.9): the
 // scalar and AVX2 kernels must be byte-identical on every operation that
-// routes through them (dilate, erode, open/close, anchored open,
-// transpose), across randomized rasters covering word-boundary widths,
+// routes through them (dilate, erode, open/close, anchored open), across
+// randomized rasters covering word-boundary widths,
 // tiny and tail-heavy shapes, and every radius the pipeline uses. Also
 // exercises both dispatch paths: the setBitmapSimdLevel() runtime override
 // and the SADP_FORCE_SCALAR environment resolution.
@@ -78,7 +78,8 @@ TEST_F(BitmapSimdTest, MorphologyByteIdentityAcrossLevels) {
   }
   std::mt19937 rng(0xb17a5);
   // Widths straddle word boundaries (63/64/65) and the 4-word vector
-  // block size (255/256/257); heights cover the 64-row transpose tiles.
+  // block size (255/256/257); heights run from one row to far past the
+  // widest column-filter window.
   const int widths[] = {1, 7, 63, 64, 65, 127, 130, 255, 256, 257, 400};
   const int heights[] = {1, 3, 63, 64, 65, 130, 200};
   const double densities[] = {0.02, 0.5, 0.97};
@@ -91,13 +92,11 @@ TEST_F(BitmapSimdTest, MorphologyByteIdentityAcrossLevels) {
           const Bitmap dilS = b.dilated(r);
           const Bitmap eroS = b.eroded(r);
           const Bitmap opnS = b.openedAnchored(r + 1);
-          const Bitmap trS = b.transposed();
           setBitmapSimdLevel(SimdLevel::Avx2);
           EXPECT_EQ(dilS, b.dilated(r)) << w << "x" << h << " r=" << r;
           EXPECT_EQ(eroS, b.eroded(r)) << w << "x" << h << " r=" << r;
           EXPECT_EQ(opnS, b.openedAnchored(r + 1))
               << w << "x" << h << " k=" << r + 1;
-          EXPECT_EQ(trS, b.transposed()) << w << "x" << h;
         }
       }
     }
@@ -134,16 +133,6 @@ TEST_F(BitmapSimdTest, KernelTableByteIdentityDirect) {
       vx.filterCols(b.words().data(), c.data(), h, wpr, lo, hi, isAnd);
       EXPECT_EQ(a, c) << "cols " << w << "x" << h << " [" << lo << "," << hi
                       << "] and=" << isAnd;
-    }
-  }
-  std::uniform_int_distribution<std::uint64_t> word;
-  for (int iter = 0; iter < 200; ++iter) {
-    std::uint64_t a[64], c[64];
-    for (int i = 0; i < 64; ++i) a[i] = c[i] = word(rng);
-    sc.transpose64(a);
-    vx.transpose64(c);
-    for (int i = 0; i < 64; ++i) {
-      ASSERT_EQ(a[i], c[i]) << "transpose row " << i;
     }
   }
 }

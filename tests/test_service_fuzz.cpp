@@ -68,16 +68,20 @@ void expectSameOutcome(const RouteOutcome& eco, const RouteOutcome& cold,
   EXPECT_EQ(eco.stats.vias, cold.stats.vias);
 }
 
-/// 100 seeded sequences of random edits; every ECO replay is compared
-/// against a cold route of the same edited design.
-TEST(ServiceFuzz, EcoReplaysMatchColdRoutes) {
-  constexpr int kCases = 100;
+/// `cases` seeded sequences of random edits; every ECO replay is compared
+/// against a cold route of the same edited design. Both sessions run at
+/// `threads` workers (0 = the environment default), since the CSV row's
+/// trailing column reports the thread count. Returns the memo hits summed
+/// over all replays.
+std::int64_t fuzzEcoAgainstCold(int cases, std::uint64_t seedBase,
+                                int threads) {
   constexpr int kEditsPerCase = 2;
   std::int64_t totalMemoHits = 0;
-  for (int caseId = 0; caseId < kCases; ++caseId) {
-    std::mt19937_64 rng(0x5adb0000u + std::uint64_t(caseId));
+  for (int caseId = 0; caseId < cases; ++caseId) {
+    std::mt19937_64 rng(seedBase + std::uint64_t(caseId));
     MaskCache cache;
     Session eco("eco", fuzzSpec(1 + std::uint64_t(caseId % 7)), &cache);
+    eco.setThreads(threads);
     eco.routeFull();
     for (int step = 0; step < kEditsPerCase; ++step) {
       const EditRequest e = randomEdit(rng, eco, caseId, step);
@@ -89,62 +93,27 @@ TEST(ServiceFuzz, EcoReplaysMatchColdRoutes) {
       MaskCache coldCache;
       Session cold("cold", fuzzSpec(1 + std::uint64_t(caseId % 7)),
                    &coldCache);
+      cold.setThreads(threads);
       cold.setNets(eco.netSpecs());
       const RouteOutcome ref = cold.routeFull();
       expectSameOutcome(*out, ref, caseId, step);
-      if (HasFatalFailure()) return;
+      if (::testing::Test::HasFatalFailure()) return totalMemoHits;
     }
   }
-  // The replays must actually memoize, not silently re-search everything.
-  EXPECT_GT(totalMemoHits, 0);
+  return totalMemoHits;
 }
 
-/// Wave-parallel ECO replays (route_jobs 4) against the cold SERIAL
-/// oracle: the two dimensions of replay equivalence -- memoized vs fresh
-/// searches, speculative vs sequential execution -- must compose. An ECO
-/// replay that both consults the memo and speculates ahead of the commit
-/// frontier still has to land byte-identical to a cold single-threaded
-/// route of the edited design.
-TEST(ServiceFuzz, EcoEditsAtRouteJobs4MatchColdSerialOracle) {
-  constexpr int kCases = 30;
-  constexpr int kEditsPerCase = 2;
-  setParallelThreads(8);
-  std::int64_t totalSpecHits = 0;
-  for (int caseId = 0; caseId < kCases; ++caseId) {
-    std::mt19937_64 rng(0x5adb1000u + std::uint64_t(caseId));
-    MaskCache cache;
-    RouterOptions wave;
-    wave.routeJobs = 4;
-    Session eco("eco", fuzzSpec(1 + std::uint64_t(caseId % 7)), &cache,
-                wave);
-    eco.setThreads(4);
-    totalSpecHits += eco.routeFull().waveSpecHits;
-    for (int step = 0; step < kEditsPerCase; ++step) {
-      const EditRequest e = randomEdit(rng, eco, caseId, step);
-      std::string err;
-      const std::optional<RouteOutcome> out = eco.applyEdit(e, &err);
-      if (!out) continue;
-      totalSpecHits += out->waveSpecHits;
+TEST(ServiceFuzz, EcoReplaysMatchColdRoutes) {
+  // The replays must actually memoize, not silently re-search everything.
+  EXPECT_GT(fuzzEcoAgainstCold(100, 0x5adb0000u, 0), 0);
+}
 
-      MaskCache coldCache;
-      Session cold("cold", fuzzSpec(1 + std::uint64_t(caseId % 7)),
-                   &coldCache);  // default RouterOptions: serial routing
-      // Same thread budget: the CSV row's trailing column reports it.
-      // "Serial" here means routeJobs=1 (sequential net commits), not a
-      // 1-thread decompose.
-      cold.setThreads(4);
-      cold.setNets(eco.netSpecs());
-      const RouteOutcome ref = cold.routeFull();
-      EXPECT_EQ(ref.waveSpecHits + ref.waveSpecMisses, 0);
-      expectSameOutcome(*out, ref, caseId, step);
-      if (HasFatalFailure()) {
-        setParallelThreads(0);
-        return;
-      }
-    }
-  }
-  // The wave path must actually engage across the corpus.
-  EXPECT_GT(totalSpecHits, 0);
+/// The same gate with four-thread sessions over a widened process pool, so
+/// the per-layer parallel passes fan out during ECO replay even on a
+/// single-CPU host, where the default run above stays inline.
+TEST(ServiceFuzz, EcoReplaysAtFourThreadsMatchColdRoutes) {
+  setParallelThreads(8);
+  EXPECT_GT(fuzzEcoAgainstCold(30, 0x5adb1000u, 4), 0);
   setParallelThreads(0);
 }
 

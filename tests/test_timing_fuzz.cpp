@@ -2,15 +2,15 @@
 // --negotiate on (PathFinder pre-phase + criticality-driven ordering and
 // weights), routed output must stay a pure function of the design:
 //
-//  * serial vs wave-parallel (--route-jobs 2 and 8): byte-identical mask
-//    fingerprints, per-net committed paths, CSV fields, and the FULL
-//    counter + histogram snapshot (negotiation counters included);
+//  * 1 vs 8 worker threads: byte-identical mask fingerprints, per-net
+//    committed paths, CSV fields, and the FULL counter + histogram
+//    snapshot (negotiation counters included);
 //  * session ECO replay vs a cold route of the edited design:
 //    byte-identical outcome (the negotiation pre-phase re-executes
 //    deterministically on every replay).
 //
-// Run under -DSADP_SANITIZE=thread the same trials race-check the wave
-// speculation fan-out against the frozen negotiation base field.
+// Run under -DSADP_SANITIZE=thread the same trials race-check the
+// per-layer parallel passes of repair and sign-off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,8 +30,8 @@
 namespace sadp {
 namespace {
 
-/// Seeded random design, deliberately denser than the plain parallel fuzz
-/// so negotiation has real contention to resolve.
+/// Seeded random design, dense enough that negotiation has real
+/// contention to resolve.
 BenchmarkSpec fuzzSpec(std::uint32_t seed) {
   std::mt19937 rng(seed * 2654435761u + 1013u);
   BenchmarkSpec s;
@@ -44,9 +44,8 @@ BenchmarkSpec fuzzSpec(std::uint32_t seed) {
   return s;
 }
 
-RouterOptions negotiateOpts(int routeJobs) {
+RouterOptions negotiateOpts() {
   RouterOptions ro;
-  ro.routeJobs = routeJobs;
   ro.negotiate = true;
   ro.timingDriven = true;
   return ro;
@@ -60,16 +59,13 @@ struct RouteDigest {
   std::string csvRow;
   std::vector<CounterSample> counters;
   std::vector<std::pair<std::string, std::int64_t>> histTotals;
-  std::int64_t specHits = 0;
-  std::int64_t specMisses = 0;
 };
 
-RouteDigest routeOnce(const BenchmarkSpec& spec, int routeJobs, int threads) {
+RouteDigest routeOnce(const BenchmarkSpec& spec, int threads) {
   RunContext ctx;
   ctx.setThreadCount(threads);
   BenchmarkInstance inst = makeBenchmark(spec);
-  OverlayAwareRouter router(inst.grid, inst.netlist, negotiateOpts(routeJobs),
-                            &ctx);
+  OverlayAwareRouter router(inst.grid, inst.netlist, negotiateOpts(), &ctx);
   const RoutingStats stats = router.run();
   const OverlayReport report = router.physicalReport();
 
@@ -101,8 +97,6 @@ RouteDigest routeOnce(const BenchmarkSpec& spec, int routeJobs, int threads) {
     out.histTotals.emplace_back(name, h->count());
     out.histTotals.emplace_back(name + ".sum", h->sum());
   }
-  out.specHits = router.waveSpecHits();
-  out.specMisses = router.waveSpecMisses();
   return out;
 }
 
@@ -122,29 +116,21 @@ void expectSameDigest(const RouteDigest& got, const RouteDigest& ref,
   }
 }
 
-TEST(TimingFuzz, NegotiatedRoutingByteIdenticalAcrossRouteJobs) {
+TEST(TimingFuzz, NegotiatedRoutingByteIdenticalAcrossThreadCounts) {
   setParallelThreads(8);
-  std::int64_t totalSpecHits = 0;
   std::int64_t totalNegotiateRounds = 0;
   for (std::uint32_t seed = 1; seed <= 100; ++seed) {
     const BenchmarkSpec spec = fuzzSpec(seed);
     const std::string what = "seed=" + std::to_string(seed) + " nets=" +
                              std::to_string(spec.netCount);
-    const RouteDigest serial = routeOnce(spec, 1, 2);
-    EXPECT_EQ(serial.specHits + serial.specMisses, 0) << what;
-    const RouteDigest jobs2 = routeOnce(spec, 2, 2);
-    expectSameDigest(jobs2, serial, what + " jobs=2");
-    const RouteDigest jobs8 = routeOnce(spec, 8, 8);
-    expectSameDigest(jobs8, serial, what + " jobs=8");
-    totalSpecHits += jobs2.specHits + jobs8.specHits;
+    const RouteDigest serial = routeOnce(spec, 1);
+    expectSameDigest(routeOnce(spec, 8), serial, what + " threads=8");
     for (const auto& [name, v] : serial.histTotals) {
       if (name == "router.negotiate_overflow") totalNegotiateRounds += v;
     }
     if (HasFatalFailure()) break;
   }
-  // The gate must exercise both machineries for real: speculation verified
-  // against the negotiation base field, and negotiation itself.
-  EXPECT_GT(totalSpecHits, 0);
+  // The gate must exercise negotiation for real.
   EXPECT_GT(totalNegotiateRounds, 0);
   setParallelThreads(0);
 }
@@ -216,7 +202,7 @@ TEST(TimingFuzz, EcoReplaysWithNegotiationMatchColdRoutes) {
     std::mt19937_64 rng(0x71b10000u + std::uint64_t(caseId));
     MaskCache cache;
     Session eco("eco", ecoSpec(1 + std::uint64_t(caseId % 7)), &cache,
-                negotiateOpts(1));
+                negotiateOpts());
     eco.routeFull();
     for (int step = 0; step < kEditsPerCase; ++step) {
       const EditRequest e = randomEdit(rng, eco, caseId, step);
@@ -227,7 +213,7 @@ TEST(TimingFuzz, EcoReplaysWithNegotiationMatchColdRoutes) {
 
       MaskCache coldCache;
       Session cold("cold", ecoSpec(1 + std::uint64_t(caseId % 7)),
-                   &coldCache, negotiateOpts(1));
+                   &coldCache, negotiateOpts());
       cold.setNets(eco.netSpecs());
       const RouteOutcome ref = cold.routeFull();
       expectSameOutcome(*out, ref, caseId, step);
@@ -239,14 +225,16 @@ TEST(TimingFuzz, EcoReplaysWithNegotiationMatchColdRoutes) {
   EXPECT_GT(totalMemoHits, 0);
 }
 
-TEST(TimingFuzz, EcoWaveReplaysWithNegotiationMatchColdSerial) {
+/// Four-thread sessions over a widened process pool: the per-layer
+/// parallel passes fan out during replay even on a single-CPU host.
+TEST(TimingFuzz, EcoReplaysWithNegotiationAtFourThreadsMatchColdRoutes) {
   constexpr int kCases = 10;
   setParallelThreads(8);
   for (int caseId = 0; caseId < kCases; ++caseId) {
     std::mt19937_64 rng(0x71b20000u + std::uint64_t(caseId));
     MaskCache cache;
     Session eco("eco", ecoSpec(2 + std::uint64_t(caseId % 5)), &cache,
-                negotiateOpts(4));
+                negotiateOpts());
     eco.setThreads(4);
     eco.routeFull();
     const EditRequest e = randomEdit(rng, eco, caseId, 0);
@@ -256,9 +244,8 @@ TEST(TimingFuzz, EcoWaveReplaysWithNegotiationMatchColdSerial) {
 
     MaskCache coldCache;
     Session cold("cold", ecoSpec(2 + std::uint64_t(caseId % 5)), &coldCache,
-                 negotiateOpts(1));
-    // Same thread budget: the CSV row's thread column reports it. Serial
-    // here means routeJobs=1 (sequential commits), not a 1-thread run.
+                 negotiateOpts());
+    // Same thread budget: the CSV row's thread column reports it.
     cold.setThreads(4);
     cold.setNets(eco.netSpecs());
     const RouteOutcome ref = cold.routeFull();

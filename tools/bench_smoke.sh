@@ -53,25 +53,6 @@ for f in "$scratch"/serial*.masks; do
 done
 echo "bench_smoke: batch --jobs 2 mask planes byte-identical to serial"
 
-# Wave-routing gate: speculative wave-parallel routing (--route-jobs) must
-# emit mask planes byte-identical to the serial net-by-net loop -- WHO runs
-# an attempt-0 search must never change WHAT gets committed.
-wave_job="--seed-demo 120 --width 100 --height 100 --threads 4"
-# shellcheck disable=SC2086
-"$cli" $wave_job --route-jobs 1 --masks "$scratch/wave1_" \
-  >/dev/null || [ $? -eq 3 ]
-# shellcheck disable=SC2086
-"$cli" $wave_job --route-jobs 4 --masks "$scratch/wave4_" \
-  >/dev/null || [ $? -eq 3 ]
-for f in "$scratch"/wave1*.masks; do
-  twin=$(printf '%s' "$f" | sed 's/wave1_/wave4_/')
-  cmp -s "$f" "$twin" || {
-    echo "bench_smoke: --route-jobs output $twin differs from serial $f" >&2
-    exit 1
-  }
-done
-echo "bench_smoke: --route-jobs 4 mask planes byte-identical to serial"
-
 # Backend matrix gate (DESIGN.md §5.13): selecting the SADP backend
 # explicitly must be a no-op byte-for-byte -- `--backend sadp2` mask
 # planes must equal the default run's. The triple-patterning backend gets
@@ -134,22 +115,22 @@ echo "bench_smoke: warm ECO edits >= 3x cold route throughput;" \
      "updated $repo_root/BENCH_service.json"
 
 # Sanitizer gate: rebuild the fuzz-labelled equivalence suites (bucket vs
-# heap A*, scalar vs AVX2 bitmap kernels) under AddressSanitizer in a
-# throwaway build dir. Arena/bump-pointer bugs show up as ASan reports
-# here long before they corrupt a benchmark run. Set
+# heap A*, scalar vs AVX2 bitmap kernels) under AddressSanitizer and
+# UBSan in a throwaway build dir. Arena/bump-pointer bugs show up as ASan
+# reports here long before they corrupt a benchmark run; any report
+# aborts the test (sanitizer builds are non-recoverable). Set
 # BENCH_SMOKE_SKIP_ASAN=1 to opt out (e.g. on machines without the
 # asan runtime).
 if [ "${BENCH_SMOKE_SKIP_ASAN:-0}" != "1" ]; then
   asan_dir="$scratch/asan-build"
-  cmake -S "$repo_root" -B "$asan_dir" -DSADP_SANITIZE=address \
+  cmake -S "$repo_root" -B "$asan_dir" -DSADP_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE= >/dev/null
   cmake --build "$asan_dir" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_astar_equiv test_bitmap_simd \
-    test_service_fuzz test_wave_planner test_route_parallel_fuzz \
-    test_timing_oracle test_timing_fuzz \
+    test_service_fuzz test_timing_oracle test_timing_fuzz \
     test_backend_fuzz >/dev/null
   (cd "$asan_dir" && ctest -L fuzz --output-on-failure)
-  echo "bench_smoke: fuzz label clean under -DSADP_SANITIZE=address"
+  echo "bench_smoke: fuzz label clean under -DSADP_SANITIZE=address,undefined"
 else
   echo "bench_smoke: ASan fuzz gate skipped (BENCH_SMOKE_SKIP_ASAN=1)"
 fi

@@ -90,19 +90,24 @@ foreach(pair "--negotiate-iters;0" "--negotiate-iters;3x"
 endforeach()
 message(STATUS "cli batch smoke OK (bad timing option values rejected)")
 
-# Decomposition always runs over the whole window: the old band-tiling
-# options are usage errors that say so, not silently ignored knobs.
-foreach(pair "--tile-words;2" "--schedule;dynamic")
-  list(GET pair 0 flag)
-  list(GET pair 1 val)
+# Removed options are usage errors that say why, not silently ignored
+# knobs: decomposition always runs over the whole window (the old
+# band-tiling options), and nets always route one at a time (the old
+# wave-parallel option).
+foreach(case "--tile-words;2;decomposition always runs whole-window"
+        "--schedule;dynamic;decomposition always runs whole-window"
+        "--route-jobs;4;nets always route sequentially")
+  list(GET case 0 flag)
+  list(GET case 1 val)
+  list(GET case 2 hint)
   execute_process(COMMAND "${CLI}" --seed-demo 10 --width 40 --height 40
                           "${flag}" "${val}"
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "${flag} ${val} exited ${rc}, want usage error 2\n${err}")
   endif()
-  if(NOT err MATCHES "usage:" OR NOT err MATCHES "whole-window")
-    message(FATAL_ERROR "${flag} ${val} stderr lacks the whole-window usage error:\n${err}")
+  if(NOT err MATCHES "usage:" OR NOT err MATCHES "${flag} was removed: ${hint}")
+    message(FATAL_ERROR "${flag} ${val} stderr lacks the removed-option hint:\n${err}")
   endif()
 endforeach()
-message(STATUS "cli batch smoke OK (removed tiling options rejected)")
+message(STATUS "cli batch smoke OK (removed options rejected)")

@@ -98,6 +98,11 @@ execute_process(
     client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":-2}' \
       --expect-error bad_request > '${OUT_DIR}/range.json'
     grep -q 'threads must be an integer >= 1' '${OUT_DIR}/range.json'
+    # The removed wave-parallel knob is an error with a hint, not a
+    # silently ignored field.
+    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"route_jobs\":4}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'route_jobs was removed: nets always route sequentially' '${OUT_DIR}/range.json'
     # timeout_ms:0 expires while queued -> deterministic timeout error.
     client req --json '{\"op\":\"route\",\"session\":\"s\",\"timeout_ms\":0}' --expect-error timeout
     # Session cap 2: third load is rejected.

@@ -18,9 +18,6 @@
 //                       nets on the given grid instead
 //   --threads N         worker threads for parallel passes (overrides the
 //                       SADP_THREADS environment variable)
-//   --route-jobs N      speculative wave-parallel net routing width
-//                       (default 1 = sequential). Any value yields
-//                       byte-identical masks, CSV and counters.
 //   --backend NAME      patterning backend: sadp2 (the default 2-color SADP
 //                       cut process) or tpl3 (triple patterning; emits 3
 //                       exposure planes per layer)
@@ -94,9 +91,9 @@ struct CliArgs {
                "       [--layers N] [--svg PREFIX] [--masks PREFIX]\n"
                "       [--csv FILE] [--no-flip] [--no-cut-check]\n"
                "       [--no-repair] [--seed-demo N] [--threads N]\n"
-               "       [--route-jobs N] [--backend sadp2|tpl3]\n"
-               "       [--timing] [--negotiate] [--negotiate-iters N]\n"
-               "       [--history-cost X] [--trace FILE] [--metrics FILE]\n"
+               "       [--backend sadp2|tpl3] [--timing] [--negotiate]\n"
+               "       [--negotiate-iters N] [--history-cost X]\n"
+               "       [--trace FILE] [--metrics FILE]\n"
                "   or: sadp_route_cli --batch LIST-FILE [--jobs N]\n";
   std::exit(2);
 }
@@ -165,10 +162,7 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
       a.threads = parseIntOpt("--threads", value(i));
       if (a.threads <= 0) usage("--threads wants a positive count");
     } else if (opt == "--route-jobs") {
-      a.router.routeJobs = parseIntOpt("--route-jobs", value(i));
-      if (a.router.routeJobs <= 0) {
-        usage("--route-jobs wants a positive count");
-      }
+      usage("--route-jobs was removed: nets always route sequentially");
     } else if (opt == "--tile-words" || opt == "--schedule") {
       usage((opt + " was removed: decomposition always runs whole-window")
                 .c_str());
