@@ -82,12 +82,11 @@ void BM_ParityDsuUnite(benchmark::State& state) {
 }
 BENCHMARK(BM_ParityDsuUnite)->Arg(1024)->Arg(16384);
 
-void astarRouteBench(benchmark::State& state, OpenList mode) {
+void BM_AStarRoute(benchmark::State& state) {
   const Track size = Track(state.range(0));
   RoutingGrid grid(size, size, 3, DesignRules{});
   AStarEngine engine(grid);
-  AStarParams params;
-  params.openList = mode;
+  const AStarParams params{};
   // Fixed pool of endpoint pairs cycled per iteration: the per-op mean
   // must not depend on how many iterations the harness settles on, or
   // run-to-run numbers drift with the sampled route mix instead of the
@@ -107,21 +106,7 @@ void astarRouteBench(benchmark::State& state, OpenList mode) {
     benchmark::DoNotOptimize(engine.route(1, {&s, 1}, {&t, 1}, params));
   }
 }
-
-void BM_AStarRoute(benchmark::State& state) {
-  astarRouteBench(state, OpenList::Auto);
-}
 BENCHMARK(BM_AStarRoute)->Arg(64)->Arg(256);
-
-void BM_AStarRouteBucket(benchmark::State& state) {
-  astarRouteBench(state, OpenList::Bucket);
-}
-BENCHMARK(BM_AStarRouteBucket)->Arg(64)->Arg(256);
-
-void BM_AStarRouteHeap(benchmark::State& state) {
-  astarRouteBench(state, OpenList::Heap);
-}
-BENCHMARK(BM_AStarRouteHeap)->Arg(64)->Arg(256);
 
 /// Bump-allocation throughput with per-iteration scope rewind: the warm
 /// steady state every route()/colorFlip() call runs in.

@@ -54,6 +54,25 @@ BenchmarkSpec paperBenchmark(const std::string& name) {
   throw std::invalid_argument("unknown paper benchmark: " + name);
 }
 
+std::string designSizeError(std::int64_t width, std::int64_t height,
+                            std::int64_t layers, std::int64_t nets) {
+  if (width < 1 || height < 1 || layers < 1) {
+    return "width, height and layers must be positive";
+  }
+  // Every factor is bounded before it is multiplied: nothing overflows.
+  if (width > kMaxGridNodes || height > kMaxGridNodes ||
+      layers > kMaxGridNodes || width * height > kMaxGridNodes ||
+      width * height * layers > kMaxGridNodes) {
+    return "width*height*layers must be at most " +
+           std::to_string(kMaxGridNodes) + " grid nodes";
+  }
+  if (nets > width * height / 2) {
+    return "nets must be at most width*height/2 = " +
+           std::to_string(width * height / 2);
+  }
+  return {};
+}
+
 namespace {
 
 struct NodeHash {

@@ -39,6 +39,20 @@ std::vector<BenchmarkSpec> paperBenchmarks();
 /// Looks up a paper benchmark by name ("Test1".."Test10").
 BenchmarkSpec paperBenchmark(const std::string& name);
 
+/// Largest design a CLI or service request may describe, in grid nodes
+/// (width * height * layers). The largest paper circuit is 900^2 x 3, about
+/// 2.4M nodes; the router keeps several words per node, so an unbounded
+/// request would exhaust memory instead of failing.
+constexpr std::int64_t kMaxGridNodes = std::int64_t(1) << 24;
+
+/// Empty when a width x height x layers grid carrying `nets` generated nets
+/// is admissible, otherwise a message naming the violated limit: positive
+/// dimensions, at most kMaxGridNodes nodes, and at most width*height/2 nets
+/// (each net takes two distinct pin nodes). Pass nets = 0 when the netlist
+/// is not generated.
+std::string designSizeError(std::int64_t width, std::int64_t height,
+                            std::int64_t layers, std::int64_t nets);
+
 /// A generated routing problem: the grid (with blockages painted) plus the
 /// netlist. The grid does NOT yet have pins occupied; the router owns that.
 struct BenchmarkInstance {

@@ -4,7 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <memory_resource>
-#include <queue>
+#include <stdexcept>
+#include <string>
 
 #include "route/route_memo.hpp"
 #include "run/run_context.hpp"
@@ -32,14 +33,6 @@ struct SearchMetrics {
     pushes->add(*heapPushes);
     perRoute->add(*expansions);
   }
-};
-
-struct OpenEntry {
-  double f;
-  double g;
-  std::uint32_t node;
-
-  bool operator>(const OpenEntry& o) const { return f > o.f; }
 };
 
 constexpr std::int64_t kInfQ = std::numeric_limits<std::int64_t>::max();
@@ -111,8 +104,8 @@ class BucketOpen {
 /// Binary min-heap over the same fixed-point costs, ordered by (f, push
 /// sequence descending). The sequence tiebreak makes equal-f pops LIFO,
 /// i.e. the exact pop order of BucketOpen -- this is the reference
-/// implementation the fuzz suite compares buckets against, and the
-/// fallback when the bucket preconditions fail (negative penalties,
+/// implementation the fuzz suite compares buckets against, and the open
+/// list whenever the bucket preconditions fail (negative penalties,
 /// wrongWay < 1, f span too wide). Heap storage lives in the scratch
 /// arena via pmr.
 class IntHeapOpen {
@@ -163,8 +156,7 @@ FixedCostScale deriveFixedCostScale(const AStarParams& p) {
   // step weights are exactly integral. The exactness check is a strict
   // double comparison, so a representable parameter set loses zero
   // precision by construction; anything else (alpha = 1/3, negative
-  // weights, huge magnitudes) reports !ok and routes through the legacy
-  // double-cost engine.
+  // weights, huge magnitudes) is rejected.
   constexpr int kMaxShift = 12;
   constexpr double kMaxQ = double(std::int64_t(1) << 40);
   for (int shift = 0; shift <= kMaxShift; ++shift) {
@@ -180,17 +172,20 @@ FixedCostScale deriveFixedCostScale(const AStarParams& p) {
     };
     if (rep(p.alpha, fs.alphaQ) && rep(p.beta, fs.betaQ) &&
         rep(p.alpha * p.wrongWay, fs.wrongQ)) {
-      fs.ok = true;
       return fs;
     }
   }
-  return {};
+  throw std::invalid_argument(
+      "A* weights alpha=" + std::to_string(p.alpha) +
+      " beta=" + std::to_string(p.beta) +
+      " wrongWay=" + std::to_string(p.wrongWay) +
+      " have no exact nonnegative fixed-point scale <= 2^12");
 }
 
-/// Resolved fixed-point cost model shared by the bucket and heap modes.
-/// gamma and the penalty fields are quantized per read with llround
-/// (deterministic, but not required to be exact -- only the three static
-/// weights must quantize losslessly for the mode to be selected).
+/// Resolved fixed-point cost model shared by both open lists. gamma and
+/// the penalty fields are quantized per read with llround (deterministic,
+/// but not required to be exact -- only the three static weights must
+/// quantize losslessly).
 struct AStarEngine::IntSearchSetup {
   const AStarParams* params;
   const PenaltyField* extra;
@@ -240,7 +235,6 @@ void AStarEngine::recordProbe(const GridNode& n, NetId net,
 AStarEngine::AStarEngine(const RoutingGrid& grid, RunContext* ctx)
     : grid_(&grid),
       scratch_(&(ctx ? *ctx : RunContext::current()).scratchArena()),
-      best_(grid.nodeCount(), 0.0f),
       bestQ_(grid.nodeCount(), 0),
       parent_(grid.nodeCount(), 0),
       stamp_(grid.nodeCount(), 0),
@@ -250,6 +244,7 @@ AStarEngine::AStarEngine(const RoutingGrid& grid, RunContext* ctx)
   routesCounter_ = &m.counter("astar.routes");
   expansionsCounter_ = &m.counter("astar.expansions");
   heapPushesCounter_ = &m.counter("astar.heap_pushes");
+  heapRoutesCounter_ = &m.counter("astar.heap_routes");
   expansionsPerRoute_ = &m.histogram("astar.expansions_per_route");
 }
 
@@ -392,6 +387,26 @@ std::optional<AStarResult> AStarEngine::route(NetId net,
   if (sources.empty() || targets.empty()) return std::nullopt;
   SADP_SPAN("astar.route");
   const RoutingGrid& grid = *grid_;
+
+  // ---- fixed-point cost model (DESIGN.md §5.9.1) ----
+  const FixedCostScale fs = deriveFixedCostScale(params);
+  const double scaleD = double(std::int64_t(1) << fs.shift);
+  // Per-read quantized terms must stay far from int64 range.
+  constexpr double kMaxFieldQ = double(std::int64_t(1) << 40);
+  double maxT2bQ = 0.0;
+  double maxExtraQ = 0.0;
+  if (t2b != nullptr) {
+    maxT2bQ = std::abs(params.gamma) *
+              std::max(double(t2b->horizontalEntry.maxSeen()),
+                       double(t2b->verticalEntry.maxSeen())) *
+              scaleD;
+  }
+  if (extra != nullptr) maxExtraQ = double(extra->maxSeen()) * scaleD;
+  if (!(maxT2bQ <= kMaxFieldQ && maxExtraQ <= kMaxFieldQ)) {
+    throw std::invalid_argument(
+        "A* penalty field peak exceeds 2^40 after fixed-point scaling");
+  }
+
   ++epoch_;
   const std::uint32_t epoch = epoch_;
 
@@ -415,27 +430,6 @@ std::optional<AStarResult> AStarEngine::route(NetId net,
   metrics.exp = expansionsCounter_;
   metrics.pushes = heapPushesCounter_;
   metrics.perRoute = expansionsPerRoute_;
-
-  // ---- open-list mode selection (DESIGN.md §5.9) ----
-  const FixedCostScale fs = deriveFixedCostScale(params);
-  const double scaleD = double(std::int64_t(1) << fs.shift);
-  // Per-read quantized terms must stay far from int64 range; fields that
-  // have ever held values this large get the legacy double path.
-  constexpr double kMaxFieldQ = double(std::int64_t(1) << 40);
-  double maxT2bQ = 0.0;
-  double maxExtraQ = 0.0;
-  if (t2b != nullptr) {
-    maxT2bQ = std::abs(params.gamma) *
-              std::max(double(t2b->horizontalEntry.maxSeen()),
-                       double(t2b->verticalEntry.maxSeen())) *
-              scaleD;
-  }
-  if (extra != nullptr) maxExtraQ = double(extra->maxSeen()) * scaleD;
-  const bool canFixed = fs.ok && params.openList != OpenList::LegacyFloat &&
-                        maxT2bQ <= kMaxFieldQ && maxExtraQ <= kMaxFieldQ;
-  if (!canFixed) {
-    return routeLegacy(net, sources, targets, params, extra, t2b, result);
-  }
 
   IntSearchSetup su;
   su.params = &params;
@@ -508,14 +502,14 @@ std::optional<AStarResult> AStarEngine::route(NetId net,
   // monotone under a consistent heuristic) and the in-flight f span
   // representable in a modest circular bucket array. wrongQ >= alphaQ
   // keeps the Manhattan heuristic consistent (h never drops faster than
-  // the cheapest planar step).
-  bool bucketOk =
+  // the cheapest planar step). Otherwise the heap runs the same search.
+  const bool monotone =
       fs.wrongQ >= fs.alphaQ &&
       (t2b == nullptr || params.gamma >= 0.0) &&
       (extra == nullptr || !extra->hasNegative()) &&
       (t2b == nullptr || (!t2b->horizontalEntry.hasNegative() &&
                           !t2b->verticalEntry.hasNegative()));
-  if (bucketOk && params.openList != OpenList::Heap) {
+  if (monotone) {
     // f span bound: one step plus the heuristic's per-step drift, and at
     // least the spread of the seed f values.
     constexpr std::uint64_t kMaxBuckets = std::uint64_t(1) << 18;
@@ -535,149 +529,12 @@ std::optional<AStarResult> AStarEngine::route(NetId net,
                  : searchFixed<false>(open, net, targets, su, result);
     }
   }
+  heapRoutesCounter_->add(1);
   IntHeapOpen open(*scratch_);
   seed(open);
   return record_ != nullptr
              ? searchFixed<true>(open, net, targets, su, result)
              : searchFixed<false>(open, net, targets, su, result);
-}
-
-std::optional<AStarResult> AStarEngine::routeLegacy(
-    NetId net, std::span<const GridNode> sources,
-    std::span<const GridNode> targets, const AStarParams& params,
-    const PenaltyField* extra, const T2bField* t2b, AStarResult& result) {
-  const RoutingGrid& grid = *grid_;
-  const std::uint32_t epoch = epoch_;
-
-  auto visit = [&](std::uint32_t idx) -> bool {  // true if first visit
-    if (stamp_[idx] == epoch) return false;
-    stamp_[idx] = epoch;
-    best_[idx] = std::numeric_limits<float>::infinity();
-    parent_[idx] = std::uint32_t(-1);
-    return true;
-  };
-  auto gOf = [&](std::uint32_t idx) {
-    return stamp_[idx] == epoch ? best_[idx]
-                                : std::numeric_limits<float>::infinity();
-  };
-
-  auto decode = [&](std::uint32_t idx) {
-    const std::size_t w = std::size_t(grid.width());
-    const std::size_t h = std::size_t(grid.height());
-    return GridNode{Track(idx % w), Track((idx / w) % h),
-                    std::int16_t(idx / (w * h))};
-  };
-
-  auto isTarget = [&](std::uint32_t idx) {
-    return targetStamp_[idx] == epoch;
-  };
-
-  const bool useHeuristic = targets.size() <= 8;
-  auto heuristic = [&](const GridNode& a) {
-    if (!useHeuristic) return 0.0;
-    double hBest = std::numeric_limits<double>::infinity();
-    for (const GridNode& t : targets) {
-      const double d =
-          params.alpha * (std::abs(a.x - t.x) + std::abs(a.y - t.y)) +
-          params.beta * std::abs(a.layer - t.layer);
-      hBest = std::min(hBest, d);
-    }
-    return hBest;
-  };
-
-  auto passable = [&](const GridNode& node) {
-    const NetId owner = grid.owner(node);
-    return owner == kInvalidNet || owner == net;
-  };
-
-  std::priority_queue<OpenEntry, std::vector<OpenEntry>, std::greater<>> open;
-  for (const GridNode& s : sources) {
-    if (!grid.inBounds(s)) continue;
-    if (record_ != nullptr) recordProbe(s, net, extra, t2b);
-    if (!passable(s)) continue;
-    const std::uint32_t idx = std::uint32_t(grid.index(s));
-    visit(idx);
-    best_[idx] = 0.0f;
-    open.push({heuristic(s), 0.0, idx});
-    ++pushCount_;
-  }
-
-  std::uint32_t goal = std::uint32_t(-1);
-  while (!open.empty()) {
-    const OpenEntry top = open.top();
-    open.pop();
-    if (top.g > gOf(top.node)) continue;  // stale entry
-    if (++result.expansions > params.maxExpansions) return std::nullopt;
-    if (isTarget(top.node)) {
-      goal = top.node;
-      result.cost = top.g;
-      break;
-    }
-    const GridNode cur = decode(top.node);
-
-    for (int m = 0; m < 6; ++m) {  // +-x, +-y, via up/down
-      GridNode nxt = cur;
-      double step = 0.0;
-      bool viaMove = false;
-      switch (m) {
-        case 0: nxt.x += 1; break;
-        case 1: nxt.x -= 1; break;
-        case 2: nxt.y += 1; break;
-        case 3: nxt.y -= 1; break;
-        case 4: nxt.layer += 1; viaMove = true; break;
-        case 5: nxt.layer -= 1; viaMove = true; break;
-      }
-      if (!grid.inBounds(nxt)) continue;
-      if (record_ != nullptr) recordProbe(nxt, net, extra, t2b);
-      if (!passable(nxt)) continue;
-      if (viaMove) {
-        step = params.beta;
-      } else {
-        const bool horizontalMove = (m < 2);
-        const bool preferred =
-            (grid.preferredDir(cur.layer) == Orient::Horizontal) ==
-            horizontalMove;
-        step = params.alpha * (preferred ? 1.0 : params.wrongWay);
-        if (t2b != nullptr) {
-          const PenaltyField& f =
-              horizontalMove ? t2b->horizontalEntry : t2b->verticalEntry;
-          step += params.gamma * f.at(nxt);
-        }
-      }
-      if (extra != nullptr) step += extra->at(nxt);
-      const std::uint32_t nidx = std::uint32_t(grid.index(nxt));
-      const double g = top.g + step;
-      const bool fresh = visit(nidx);
-      if (fresh || g < best_[nidx]) {
-        best_[nidx] = float(g);
-        parent_[nidx] = top.node;
-        open.push({g + heuristic(nxt), g, nidx});
-        ++pushCount_;
-      }
-    }
-  }
-  if (goal == std::uint32_t(-1)) return std::nullopt;
-
-  std::uint32_t cur = goal;
-  while (cur != std::uint32_t(-1)) {
-    result.path.push_back(decode(cur));
-    cur = parent_[cur];
-  }
-  std::reverse(result.path.begin(), result.path.end());
-  for (std::size_t i = 1; i < result.path.size(); ++i) {
-    if (result.path[i].layer != result.path[i - 1].layer) ++result.vias;
-  }
-  return result;
-}
-
-std::optional<AStarResult> aStarRoute(const RoutingGrid& grid, NetId net,
-                                      std::span<const GridNode> sources,
-                                      std::span<const GridNode> targets,
-                                      const AStarParams& params,
-                                      const PenaltyField* extra,
-                                      const T2bField* t2b) {
-  AStarEngine engine(grid);
-  return engine.route(net, sources, targets, params, extra, t2b);
 }
 
 }  // namespace sadp

@@ -23,25 +23,12 @@ class Counter;
 class Histogram;
 class RunContext;
 
-/// Open-list implementation selector (DESIGN.md §5.9). The search cost
-/// model is the same exact fixed-point integer model for Bucket and Heap,
-/// and their pop order is identical by construction (LIFO within equal f
-/// == ordering by (f, push sequence descending)), so the two produce
-/// byte-identical paths, costs, expansions and counters -- enforced by
-/// tests/test_astar_equiv.cpp. Auto picks Bucket whenever the Dial
-/// monotonicity preconditions hold (nonnegative quantized step costs,
-/// consistent heuristic, representable bucket span) and Heap otherwise.
-/// LegacyFloat is the pre-fixed-point double-cost engine, kept as the
-/// fallback for parameter sets with no exact fixed-point representation.
-enum class OpenList : std::uint8_t { Auto, Bucket, Heap, LegacyFloat };
-
 struct AStarParams {
   double alpha = 1.0;        ///< wirelength weight
   double beta = 1.0;         ///< via weight
   double gamma = 1.5;        ///< type 2-b scenario weight
   double wrongWay = 1.5;     ///< multiplier on alpha against preferred dir
   std::int64_t maxExpansions = 4'000'000;  ///< search effort cap
-  OpenList openList = OpenList::Auto;      ///< open-list selector
 
   friend bool operator==(const AStarParams&, const AStarParams&) = default;
 };
@@ -49,12 +36,12 @@ struct AStarParams {
 struct SearchFootprint;  // route/route_memo.hpp: recorded read set
 
 /// Exact power-of-two fixed-point scale for an AStarParams cost model:
-/// the smallest 2^shift under which alpha, beta and alpha*wrongWay are all
-/// integers with zero precision loss (checked by exact double round-trip).
-/// `ok == false` means no such scale exists (e.g. alpha = 1/3) and the
-/// engine falls back to the legacy double-cost path.
+/// the smallest 2^shift (shift <= 12) under which alpha, beta and
+/// alpha*wrongWay are all integers with zero precision loss (checked by
+/// exact double round-trip). deriveFixedCostScale throws
+/// std::invalid_argument when no such scale exists (alpha = 1/3, negative
+/// or huge weights): the engine has no other cost model to fall back to.
 struct FixedCostScale {
-  bool ok = false;
   int shift = 0;  ///< scale = 1 << shift
   std::int64_t alphaQ = 0;  ///< alpha * scale
   std::int64_t betaQ = 0;   ///< beta * scale
@@ -113,7 +100,8 @@ class PenaltyField {
   /// field with negatives forces the integer-heap open list.
   bool hasNegative() const { return negCount_ > 0; }
   /// Monotone upper bound on any value the field has ever held (never
-  /// decays on negative deltas) -- used to size the bucket span.
+  /// decays on negative deltas) -- used to size the bucket span and to
+  /// reject fields the fixed-point cost model cannot hold.
   float maxSeen() const { return maxSeen_; }
 
  private:
@@ -150,10 +138,11 @@ struct AStarResult {
   std::int64_t expansions = 0;
 };
 
-/// Reusable multi-source / multi-target A* engine. Search state arrays are
-/// epoch-stamped so repeated route() calls touch only the visited region.
-/// The routed net may pass through nodes it already owns (its pins) but not
-/// through other nets or blockages.
+/// Reusable multi-source / multi-target A* engine over the exact fixed-point
+/// cost model (DESIGN.md §5.9.1). Search state arrays are epoch-stamped so
+/// repeated route() calls touch only the visited region. The routed net may
+/// pass through nodes it already owns (its pins) but not through other nets
+/// or blockages.
 class AStarEngine {
  public:
   /// Metrics report into ctx (the calling thread's bound context when
@@ -162,6 +151,12 @@ class AStarEngine {
   /// pin the first run's registry across contexts.
   explicit AStarEngine(const RoutingGrid& grid, RunContext* ctx = nullptr);
 
+  /// Pops from a Dial bucket queue when its preconditions hold, and from
+  /// an integer heap with the identical pop order otherwise (a field holds
+  /// a negative value, or the f span needs more than 2^18 buckets); the
+  /// result is byte-identical either way. Throws std::invalid_argument when
+  /// params have no exact fixed-point scale or a field's quantized peak
+  /// passes 2^40.
   std::optional<AStarResult> route(NetId net,
                                    std::span<const GridNode> sources,
                                    std::span<const GridNode> targets,
@@ -176,7 +171,7 @@ class AStarEngine {
   void setFootprintRecorder(SearchFootprint* fp) { record_ = fp; }
 
  private:
-  struct IntSearchSetup;  // resolved cost model + mode (astar.cpp)
+  struct IntSearchSetup;  // resolved cost model (astar.cpp)
 
   /// kRecord selects the footprint-recording instantiation; the common
   /// non-recording one keeps the expansion loop free of the recordProbe
@@ -186,13 +181,6 @@ class AStarEngine {
                                          std::span<const GridNode> targets,
                                          const IntSearchSetup& su,
                                          AStarResult& result);
-  std::optional<AStarResult> routeLegacy(NetId net,
-                                         std::span<const GridNode> sources,
-                                         std::span<const GridNode> targets,
-                                         const AStarParams& params,
-                                         const PenaltyField* extra,
-                                         const T2bField* t2b,
-                                         AStarResult& result);
 
   /// Records one probed cell into *record_ (first touch per epoch only).
   void recordProbe(const GridNode& n, NetId net, const PenaltyField* extra,
@@ -200,8 +188,7 @@ class AStarEngine {
 
   const RoutingGrid* grid_;
   Arena* scratch_;  ///< owning context's per-run scratch arena
-  std::vector<float> best_;          ///< legacy double-cost path only
-  std::vector<std::int64_t> bestQ_;  ///< fixed-point g (bucket/heap modes)
+  std::vector<std::int64_t> bestQ_;  ///< fixed-point g
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint32_t> targetStamp_;
@@ -213,15 +200,8 @@ class AStarEngine {
   Counter* routesCounter_;
   Counter* expansionsCounter_;
   Counter* heapPushesCounter_;
+  Counter* heapRoutesCounter_;
   Histogram* expansionsPerRoute_;
 };
-
-/// One-shot convenience wrapper around AStarEngine (tests, examples).
-std::optional<AStarResult> aStarRoute(const RoutingGrid& grid, NetId net,
-                                      std::span<const GridNode> sources,
-                                      std::span<const GridNode> targets,
-                                      const AStarParams& params = {},
-                                      const PenaltyField* extra = nullptr,
-                                      const T2bField* t2b = nullptr);
 
 }  // namespace sadp

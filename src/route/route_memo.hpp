@@ -2,12 +2,11 @@
 // re-route (DESIGN.md §5.11).
 //
 // A search is a deterministic function of (sources, targets, params,
-// which fields were passed, the fields' global bucket-mode state) plus the
-// VALUES of every grid cell it reads: the occupancy class of each probed
-// node and, when the fields are live, the T2b / penalty values there. A
-// recorded search therefore carries its full read footprint; before a
-// replayed run re-executes that search, the router compares every recorded
-// read against current state. If all of them match, the search would
+// which fields were passed) plus the VALUES of every grid cell it reads:
+// the occupancy class of each probed node and, when the fields are live,
+// the T2b / penalty values there. A recorded search therefore carries its
+// full read footprint; before a replayed run re-executes that search, the
+// router compares every recorded read against current state. If all of them match, the search would
 // expand the exact same frontier and return the exact same path — so the
 // recorded result is reused without searching. Any mismatch (the edit's
 // dirty region reached this net) falls back to a real search. This makes
@@ -57,10 +56,9 @@ struct SearchFootprint {
   bool overflow = false;
 };
 
-/// Identity of one engine.route() call. The field summaries (maxSeen /
-/// hasNegative) take part because the engine's open-list mode selection
-/// reads them; bucket and heap are byte-equivalent, but the legacy-float
-/// fallback is not, so mode selection must replay identically too.
+/// Identity of one engine.route() call. The fields' global state (peak,
+/// negatives) is not part of it: that state only picks between the bucket
+/// and heap open lists, which return byte-identical results.
 struct SearchMemoKey {
   std::vector<GridNode> sources;
   std::vector<GridNode> targets;
@@ -74,11 +72,6 @@ struct SearchMemoKey {
   /// contents -- which lets the changed-region fast path cover
   /// penalty-reading searches without walking their recorded reads.
   std::uint64_t penaltyHistory = 0;
-  float penaltyMaxSeen = 0.0f;
-  bool penaltyHasNegative = false;
-  float t2bHMaxSeen = 0.0f;
-  float t2bVMaxSeen = 0.0f;
-  bool t2bHasNegative = false;
 
   friend bool operator==(const SearchMemoKey&, const SearchMemoKey&) = default;
 };

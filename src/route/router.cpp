@@ -255,8 +255,8 @@ AStarParams OverlayAwareRouter::netParams(NetId net) const {
   // would minimize cost while worsening delay. Slack-rich nets pay more
   // for T2b risk (they can afford the detour that avoids it). The 1/64
   // quantization keeps alpha*wrongWay and beta exactly representable
-  // under deriveFixedCostScale for integer/half-integer bases, preserving
-  // the bucket-queue fast path.
+  // under deriveFixedCostScale for integer/half-integer bases, as the
+  // fixed-point A* engine requires.
   const int c = crit64_[std::size_t(net)];
   const std::int64_t viaRatio =
       opts_.timing.delayPerTrack > 0
@@ -279,17 +279,7 @@ SearchMemoKey OverlayAwareRouter::makeSearchKey(
   key.params = params;
   key.usedPenalty = extra != nullptr;
   key.usedT2b = t2b != nullptr;
-  if (extra != nullptr) {
-    key.penaltyHistory = ripUpHistoryHash_;
-    key.penaltyMaxSeen = extra->maxSeen();
-    key.penaltyHasNegative = extra->hasNegative();
-  }
-  if (t2b != nullptr) {
-    key.t2bHMaxSeen = t2b->horizontalEntry.maxSeen();
-    key.t2bVMaxSeen = t2b->verticalEntry.maxSeen();
-    key.t2bHasNegative = t2b->horizontalEntry.hasNegative() ||
-                         t2b->verticalEntry.hasNegative();
-  }
+  if (extra != nullptr) key.penaltyHistory = ripUpHistoryHash_;
   return key;
 }
 

@@ -33,6 +33,13 @@ class MaskCache;
 class PatterningBackend;  // patterning/backend.hpp
 class RunContext;
 
+/// Inclusive upper bounds on RouterOptions::maxNegotiateIters and
+/// historyIncrement for CLI and service input. History then stays at most
+/// 10^8 per cell, which quantizes under the A* engine's 2^40 field limit
+/// at any fixed-point scale it accepts (at most 2^12).
+constexpr int kMaxNegotiateIters = 10'000;
+constexpr int kMaxHistoryCost = 10'000;
+
 struct RouterOptions {
   AStarParams astar;
   int maxRipUp = 3;            ///< max rip-up & re-route iterations per net

@@ -11,10 +11,11 @@
 // fields) is bit-reproducible across platforms and thread counts.
 //
 // Criticality is quantized to 1/64 steps (crit64 in [0, 64]): the router
-// folds it into AStarParams::wrongWay as crit64/64, which stays exactly
-// representable under the PR-6 power-of-two fixed-point cost scale
-// (deriveFixedCostScale) -- timing-driven searches keep the bucket-queue
-// fast path and byte-identical memo keys.
+// folds it into AStarParams::wrongWay and beta as multiples of 1/64, which
+// stay exactly representable under the A* engine's power-of-two
+// fixed-point cost scale (deriveFixedCostScale, at most 2^12). The engine
+// has no other cost model: weights off that grid are rejected, not
+// rounded.
 #pragma once
 
 #include <cstdint>

@@ -216,7 +216,7 @@ RouteServer::~RouteServer() {
 
 void RouteServer::requestStop() { onStopSignal(0); }
 
-bool RouteServer::openListeners() {
+bool RouteServer::bindListeners() {
   if (!opts_.socketPath.empty()) {
     sockaddr_un addr{};
     if (opts_.socketPath.size() >= sizeof addr.sun_path) {
@@ -277,7 +277,7 @@ int RouteServer::serve() {
   ::sigaction(SIGTERM, &sa, nullptr);
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (!openListeners()) return 1;
+  if (!bindListeners()) return 1;
 
   workers_.reserve(std::size_t(opts_.workers));
   for (int i = 0; i < opts_.workers; ++i) {
@@ -559,10 +559,6 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
       return errResp(&req, "bad_request",
                      "load wants 'benchmark' or nets/width/height >= 1/8/8");
     }
-    spec.name = name;
-    spec.netCount = int(*nets);
-    spec.width = Track(*width);
-    spec.height = Track(*height);
     std::optional<std::int64_t> layers, pinCandidates;
     std::string msg;
     if (!rangedIntField(req, "layers", 1, 16, &layers, &msg) ||
@@ -571,7 +567,18 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
       *errCode = "bad_request";
       return errResp(&req, "bad_request", msg);
     }
+    // Size limits apply before anything is allocated: one oversized load
+    // must not take the daemon and every other session down.
     if (layers) spec.layers = int(*layers);
+    msg = designSizeError(*width, *height, spec.layers, *nets);
+    if (!msg.empty()) {
+      *errCode = "bad_request";
+      return errResp(&req, "bad_request", msg);
+    }
+    spec.name = name;
+    spec.netCount = int(*nets);
+    spec.width = Track(*width);
+    spec.height = Track(*height);
     if (const auto v = intField(req, "seed")) spec.seed = std::uint64_t(*v);
     if (pinCandidates) spec.pinCandidates = int(*pinCandidates);
   }
@@ -633,19 +640,21 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
       routerOpts.timingDriven = true;
     }
   }
-  if (const JsonValue* v = req.find("negotiate_iters"); v != nullptr) {
-    if (!v->isInt() || v->asInt() < 1) {
-      *errCode = "bad_request";
-      return errResp(&req, "bad_request",
-                     "negotiate_iters must be an integer >= 1");
-    }
-    routerOpts.maxNegotiateIters = int(v->asInt());
+  std::optional<std::int64_t> negotiateIters;
+  if (std::string msg; !rangedIntField(req, "negotiate_iters", 1,
+                                       kMaxNegotiateIters, &negotiateIters,
+                                       &msg)) {
+    *errCode = "bad_request";
+    return errResp(&req, "bad_request", msg);
   }
+  if (negotiateIters) routerOpts.maxNegotiateIters = int(*negotiateIters);
   if (const JsonValue* v = req.find("history_cost"); v != nullptr) {
-    if (!v->isNumber() || !(v->asDouble() >= 0.0)) {
+    if (!v->isNumber() || !(v->asDouble() >= 0.0) ||
+        v->asDouble() > kMaxHistoryCost) {
       *errCode = "bad_request";
       return errResp(&req, "bad_request",
-                     "history_cost must be a number >= 0");
+                     "history_cost must be a number in 0.." +
+                         std::to_string(kMaxHistoryCost));
     }
     routerOpts.historyIncrement = float(v->asDouble());
   }

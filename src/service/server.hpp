@@ -65,7 +65,7 @@ class RouteServer {
   struct Conn;
   struct Task;
 
-  bool openListeners();
+  bool bindListeners();
   void readerLoop(std::shared_ptr<Conn> conn);
   void workerLoop();
   /// Enqueues, or replies queue_full / shutting_down immediately.

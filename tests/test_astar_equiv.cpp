@@ -1,13 +1,20 @@
-// Fuzz equivalence suite for the fixed-point A* core (DESIGN.md §5.9).
+// Fuzz equivalence suite for the fixed-point A* core (DESIGN.md §5.9.1).
 //
-// The bucket (Dial) open list and the integer binary heap share one cost
-// model and, by construction, one pop order -- LIFO within equal f equals
-// ordering by (f, push sequence descending). These tests enforce that
-// byte-for-byte over randomized grids, obstacle fields, penalty fields and
-// T2b marks: identical paths (node by node), costs, via counts, expansion
-// counts, and metric counter values, route after route on a warm engine.
+// route() pops from a Dial bucket queue when its preconditions hold and
+// from an integer binary heap otherwise. The two share one cost model and,
+// by construction, one pop order -- LIFO within equal f equals ordering by
+// (f, push sequence descending). These tests enforce that byte-for-byte
+// over randomized grids, obstacle fields, penalty fields and T2b marks:
+// identical paths (node by node), costs, via counts, expansion counts, and
+// metric counter values, route after route on a warm engine. The heap is
+// reached through its production trigger, not a knob: a 10^6 penalty on a
+// cell another net owns widens the f span past 2^18 buckets, yet the
+// search never reads the cost of a cell it cannot enter.
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +34,12 @@ struct RouteOutcome {
   std::int64_t ctrRoutes = 0;
   std::int64_t ctrExpansions = 0;
   std::int64_t ctrPushes = 0;
+  /// Not compared: it tells which open list ran, the one thing that may
+  /// differ.
+  std::int64_t ctrHeapRoutes = 0;
+  /// Some source was passable, so the search reached an open list (a
+  /// search with every source blocked counts as a route but runs neither).
+  bool seeded = false;
 };
 
 bool operator==(const RouteOutcome& a, const RouteOutcome& b) {
@@ -111,15 +124,15 @@ Scenario makeScenario(std::mt19937& rng) {
   return s;
 }
 
-/// Runs the scenario's route sequence under one open-list mode with a
-/// fresh RunContext, snapshotting results and metric counters.
-std::vector<RouteOutcome> runMode(const Scenario& s, OpenList mode) {
+/// Runs the scenario's route sequence with a fresh RunContext, snapshotting
+/// results and metric counters. `extra` stands in for the scenario's own
+/// penalty field when given.
+std::vector<RouteOutcome> runScenario(const Scenario& s,
+                                      const PenaltyField* extra = nullptr) {
   RunContext ctx;
   RunContext::Scope scope(ctx);
   AStarEngine engine(s.grid, &ctx);
-  AStarParams params = s.params;
-  params.openList = mode;
-  const PenaltyField* extra = s.useExtra ? &s.extra : nullptr;
+  if (extra == nullptr && s.useExtra) extra = &s.extra;
   const T2bField* t2b = s.useT2b ? &s.t2b : nullptr;
 
   std::vector<RouteOutcome> out;
@@ -128,7 +141,7 @@ std::vector<RouteOutcome> runMode(const Scenario& s, OpenList mode) {
   for (int pass = 0; pass < 3; ++pass) {
     const auto& src = pass == 2 ? s.targets : s.sources;
     const auto& tgt = pass == 2 ? s.sources : s.targets;
-    auto res = engine.route(1, src, tgt, params, extra, t2b);
+    auto res = engine.route(1, src, tgt, s.params, extra, t2b);
     RouteOutcome o;
     o.routed = res.has_value();
     if (res) {
@@ -140,18 +153,69 @@ std::vector<RouteOutcome> runMode(const Scenario& s, OpenList mode) {
     o.ctrRoutes = ctx.metrics().counter("astar.routes").value();
     o.ctrExpansions = ctx.metrics().counter("astar.expansions").value();
     o.ctrPushes = ctx.metrics().counter("astar.heap_pushes").value();
+    o.ctrHeapRoutes = ctx.metrics().counter("astar.heap_routes").value();
+    for (const GridNode& n : src) {
+      const NetId owner = s.grid.owner(n);
+      o.seeded = o.seeded || owner == kInvalidNet || owner == 1;
+    }
     out.push_back(std::move(o));
   }
   return out;
+}
+
+/// Searches among `runs` that reached an open list.
+std::int64_t seededCount(const std::vector<RouteOutcome>& runs) {
+  std::int64_t n = 0;
+  for (const RouteOutcome& o : runs) n += o.seeded ? 1 : 0;
+  return n;
+}
+
+/// A copy of the scenario's penalty field (empty when it has none) plus a
+/// 10^6 penalty on a cell owned by another net, which sends every search
+/// to the heap without changing what it reads. Occupies such a cell, away
+/// from the pins, when the scenario drew no obstacle.
+PenaltyField heapTriggerField(Scenario& s) {
+  auto isPin = [&](const GridNode& n) {
+    for (const GridNode& p : s.sources) {
+      if (p == n) return true;
+    }
+    for (const GridNode& p : s.targets) {
+      if (p == n) return true;
+    }
+    return false;
+  };
+  std::optional<GridNode> foreign, spare;
+  for (int l = 0; l < s.grid.layers() && !foreign; ++l) {
+    for (Track y = 0; y < s.grid.height() && !foreign; ++y) {
+      for (Track x = 0; x < s.grid.width() && !foreign; ++x) {
+        const GridNode n{x, y, std::int16_t(l)};
+        if (s.grid.owner(n) == 99) foreign = n;
+        if (!spare && !isPin(n)) spare = n;
+      }
+    }
+  }
+  if (!foreign) {
+    s.grid.occupy(*spare, 99);
+    foreign = spare;
+  }
+  PenaltyField f = s.useExtra ? s.extra : PenaltyField(s.grid);
+  f.add(*foreign, 1e6f);
+  return f;
 }
 
 TEST(AStarEquiv, BucketMatchesHeapByteForByte) {
   std::mt19937 rng(20140601);  // DAC'14 seed; deterministic suite
   for (int iter = 0; iter < 150; ++iter) {
     Scenario s = makeScenario(rng);
-    const auto bucket = runMode(s, OpenList::Bucket);
-    const auto heap = runMode(s, OpenList::Heap);
+    const PenaltyField trigger = heapTriggerField(s);
+    const auto bucket = runScenario(s);
+    const auto heap = runScenario(s, &trigger);
     ASSERT_EQ(bucket.size(), heap.size());
+    // Nonnegative fields and wrongWay >= 1: every search takes the
+    // buckets unforced; the trigger sends every seeded one to the heap.
+    EXPECT_EQ(bucket.back().ctrHeapRoutes, 0) << "iter " << iter;
+    EXPECT_EQ(heap.back().ctrHeapRoutes, seededCount(heap))
+        << "iter " << iter;
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       EXPECT_TRUE(bucket[i] == heap[i])
           << "iter " << iter << " pass " << i << ": bucket(cost="
@@ -164,27 +228,12 @@ TEST(AStarEquiv, BucketMatchesHeapByteForByte) {
   }
 }
 
-TEST(AStarEquiv, AutoSelectsBucketResultsOnCleanFields) {
-  // With nonnegative fields and wrongWay >= 1, Auto must behave exactly
-  // like the forced-bucket mode (it selects it).
-  std::mt19937 rng(7);
-  for (int iter = 0; iter < 40; ++iter) {
-    Scenario s = makeScenario(rng);
-    const auto autoMode = runMode(s, OpenList::Auto);
-    const auto bucket = runMode(s, OpenList::Bucket);
-    for (std::size_t i = 0; i < autoMode.size(); ++i) {
-      EXPECT_TRUE(autoMode[i] == bucket[i]) << "iter " << iter;
-    }
-  }
-}
-
 TEST(AStarEquiv, NegativePenaltiesFallBackAndStillAgree) {
-  // A field holding negative values disables the bucket mode; Auto must
-  // fall back to the integer heap, and a forced Bucket request must also
-  // decay to the heap rather than corrupt the monotone invariant. The
-  // negative deltas are capped at the minimum step weight (1/8), keeping
-  // every edge cost nonnegative -- a genuinely negative cycle would hang
-  // any reopening-based search, legacy engine included.
+  // A field holding negative values rules out the bucket queue: every
+  // search must fall back to the heap, and agree with the heap reached
+  // through the span trigger. The negative deltas are capped at the
+  // minimum step weight (1/8), keeping every edge cost nonnegative -- a
+  // genuinely negative cycle would hang any reopening-based search.
   std::mt19937 rng(99);
   for (int iter = 0; iter < 40; ++iter) {
     Scenario s = makeScenario(rng);
@@ -200,50 +249,60 @@ TEST(AStarEquiv, NegativePenaltiesFallBackAndStillAgree) {
       if (s.extra.at(n) == 0.0f) s.extra.add(n, -0.125f);
     }
     ASSERT_TRUE(s.extra.hasNegative());
-    const auto autoMode = runMode(s, OpenList::Auto);
-    const auto heap = runMode(s, OpenList::Heap);
-    const auto bucket = runMode(s, OpenList::Bucket);
-    for (std::size_t i = 0; i < autoMode.size(); ++i) {
-      EXPECT_TRUE(autoMode[i] == heap[i]) << "iter " << iter;
-      EXPECT_TRUE(bucket[i] == heap[i]) << "iter " << iter;
+    const PenaltyField trigger = heapTriggerField(s);
+    const auto negative = runScenario(s);
+    const auto widened = runScenario(s, &trigger);
+    EXPECT_EQ(negative.back().ctrHeapRoutes, seededCount(negative))
+        << "iter " << iter;
+    for (std::size_t i = 0; i < negative.size(); ++i) {
+      EXPECT_TRUE(negative[i] == widened[i]) << "iter " << iter;
     }
   }
 }
 
-TEST(AStarEquiv, UnrepresentableWeightsUseLegacyPath) {
-  // alpha = 1/3 has no finite power-of-two fixed-point representation:
-  // every mode must agree because they all route through the legacy
-  // double-cost engine (the documented fallback).
+TEST(AStarEquiv, UnrepresentableWeightsAreRejected) {
+  // The engine has one cost model and no fallback: weights with no exact
+  // power-of-two scale <= 2^12, and fields whose quantized peak passes
+  // 2^40, are refused instead of searched some other way.
   RoutingGrid g(16, 16, 2, DesignRules{});
-  AStarParams p;
-  p.alpha = 1.0 / 3.0;
-  EXPECT_FALSE(deriveFixedCostScale(p).ok);
-  for (OpenList mode :
-       {OpenList::Auto, OpenList::Bucket, OpenList::Heap}) {
-    AStarParams q = p;
-    q.openList = mode;
-    AStarEngine eng(g);
-    auto res = eng.route(1, {{GridNode{1, 1, 0}}}, {{GridNode{12, 9, 1}}}, q);
-    ASSERT_TRUE(res.has_value());
-    // 11 horizontal + 8 vertical steps (one direction wrong-way) + 1 via;
-    // exact value depends on preferred directions, so just require all
-    // modes to produce the identical legacy result.
-    AStarParams ref = p;
-    ref.openList = OpenList::LegacyFloat;
-    AStarEngine refEng(g);
-    auto refRes =
-        refEng.route(1, {{GridNode{1, 1, 0}}}, {{GridNode{12, 9, 1}}}, ref);
-    ASSERT_TRUE(refRes.has_value());
-    EXPECT_EQ(res->path, refRes->path);
-    EXPECT_DOUBLE_EQ(res->cost, refRes->cost);
-    EXPECT_EQ(res->expansions, refRes->expansions);
-  }
+  RunContext ctx;
+  RunContext::Scope scope(ctx);
+  AStarEngine eng(g, &ctx);
+  const GridNode src{1, 1, 0};
+  const GridNode dst{12, 9, 1};
+  auto route = [&](const AStarParams& p, const PenaltyField* extra,
+                   const T2bField* t2b) {
+    return eng.route(1, {&src, 1}, {&dst, 1}, p, extra, t2b);
+  };
+
+  AStarParams third;
+  third.alpha = 1.0 / 3.0;
+  EXPECT_THROW(route(third, nullptr, nullptr), std::invalid_argument);
+  AStarParams negative;
+  negative.beta = -1.0;
+  EXPECT_THROW(route(negative, nullptr, nullptr), std::invalid_argument);
+
+  // Default weights quantize at scale 2, so a peak of 2^39 is the largest
+  // a field may hold; the next float up is refused.
+  const GridNode cell{5, 5, 0};
+  PenaltyField atLimit(g);
+  atLimit.add(cell, 0x1p39f);
+  EXPECT_TRUE(route(AStarParams{}, &atLimit, nullptr).has_value());
+  PenaltyField over(g);
+  over.add(cell, std::nextafter(0x1p39f, 1e30f));
+  EXPECT_THROW(route(AStarParams{}, &over, nullptr), std::invalid_argument);
+  T2bField t2b(g);
+  t2b.verticalEntry.add(cell, 1e12f);
+  EXPECT_THROW(route(AStarParams{}, nullptr, &t2b), std::invalid_argument);
+
+  // Only the accepted search counts; rejection leaves the engine usable.
+  EXPECT_EQ(ctx.metrics().counter("astar.routes").value(), 1);
+  EXPECT_TRUE(route(AStarParams{}, nullptr, nullptr).has_value());
 }
 
 TEST(AStarEquiv, FixedScaleDerivation) {
   AStarParams def;  // alpha=1, beta=1, wrongWay=1.5 -> scale 2
   const FixedCostScale fs = deriveFixedCostScale(def);
-  ASSERT_TRUE(fs.ok);
   EXPECT_EQ(fs.shift, 1);
   EXPECT_EQ(fs.alphaQ, 2);
   EXPECT_EQ(fs.betaQ, 2);
@@ -254,12 +313,11 @@ TEST(AStarEquiv, FixedScaleDerivation) {
   ints.beta = 3.0;
   ints.wrongWay = 2.0;
   const FixedCostScale fi = deriveFixedCostScale(ints);
-  ASSERT_TRUE(fi.ok);
   EXPECT_EQ(fi.shift, 0);
 
   AStarParams neg;
   neg.alpha = -1.0;
-  EXPECT_FALSE(deriveFixedCostScale(neg).ok);
+  EXPECT_THROW(deriveFixedCostScale(neg), std::invalid_argument);
 }
 
 }  // namespace

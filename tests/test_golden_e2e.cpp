@@ -38,13 +38,11 @@ std::string hex16(std::uint64_t v) {
 /// CSV (cpuSeconds is the only nondeterministic column, so it is pinned to
 /// 0) followed by one fingerprint line per layer covering all six mask
 /// planes of the decomposition.
-std::string runPipeline(int threads, OpenList openList = OpenList::Auto) {
+std::string runPipeline(int threads) {
   setParallelThreads(threads);
   const BenchmarkSpec spec = paperBenchmark("Test1").scaled(0.06);
   BenchmarkInstance inst = makeBenchmark(spec);
-  RouterOptions ropts;
-  ropts.astar.openList = openList;
-  OverlayAwareRouter router(inst.grid, inst.netlist, ropts);
+  OverlayAwareRouter router(inst.grid, inst.netlist, RouterOptions{});
   const RoutingStats stats = router.run();
   const OverlayReport phys = router.physicalReport();
 
@@ -100,12 +98,10 @@ TEST(GoldenE2E, MatchesCommittedFixtureAcrossThreadsAndTiling) {
   }
 }
 
-// The open-list × SIMD dispatch matrix must all land on the committed
-// document: the heap is the reference implementation the Dial buckets are
-// byte-equivalent to (DESIGN.md §5.9.1), and the scalar bitmap kernels are
-// byte-equivalent to the AVX2 ones, so no combination may perturb routes,
-// masks or the report.
-TEST(GoldenE2E, OpenListAndSimdDispatchMatrixByteIdentical) {
+// Both SIMD dispatch levels must land on the committed document: the
+// scalar bitmap kernels are byte-equivalent to the AVX2 ones (DESIGN.md
+// §5.9.1), so neither may perturb routes, masks or the report.
+TEST(GoldenE2E, SimdDispatchMatrixByteIdentical) {
   const std::string path =
       std::string(SADP_GOLDEN_DIR) + "/test1_s006.golden";
   std::ifstream f(path, std::ios::binary);
@@ -115,17 +111,12 @@ TEST(GoldenE2E, OpenListAndSimdDispatchMatrixByteIdentical) {
   buf << f.rdbuf();
   const std::string golden = buf.str();
   const struct {
-    OpenList openList;
     SimdLevel simd;
     const char* name;
-  } configs[] = {{OpenList::Bucket, SimdLevel::Auto, "bucket/auto"},
-                 {OpenList::Heap, SimdLevel::Auto, "heap/auto"},
-                 {OpenList::Bucket, SimdLevel::Scalar, "bucket/scalar"},
-                 {OpenList::Heap, SimdLevel::Scalar, "heap/scalar"}};
+  } configs[] = {{SimdLevel::Auto, "auto"}, {SimdLevel::Scalar, "scalar"}};
   for (const auto& c : configs) {
     setBitmapSimdLevel(c.simd);
-    EXPECT_EQ(runPipeline(1, c.openList), golden)
-        << c.name << " diverged from the fixture";
+    EXPECT_EQ(runPipeline(1), golden) << c.name << " diverged from the fixture";
   }
   setBitmapSimdLevel(SimdLevel::Auto);
 }

@@ -137,7 +137,7 @@ fi
 
 # Perf gate: measure into a scratch JSON first and diff the search-core
 # benchmarks against the committed baseline. A >25% slowdown in any
-# BM_AStarRoute*, BM_AStarRouteBucket* or BM_ParityDsuUnite* entry aborts
+# BM_AStarRoute*, BM_ParityDsuUnite* or BM_NegotiatedRoute* entry aborts
 # before the baseline file is touched, so a regression can't silently
 # grandfather itself into BENCH_kernels.json.
 #
@@ -147,7 +147,7 @@ fi
 # --filter'ed) and each gated entry -- for both the comparison and the
 # values that get committed -- is the per-name minimum across the three
 # runs, which is a stable estimator of the true kernel cost.
-gate_re='^BM_(AStarRoute|AStarRouteBucket|ParityDsuUnite|NegotiatedRoute)'
+gate_re='^BM_(AStarRoute|ParityDsuUnite|NegotiatedRoute)'
 fresh="$scratch/bench_fresh.json"
 "$bench" --json "$fresh"
 "$bench" --filter "$gate_re" --json "$scratch/gate2.json"
@@ -187,7 +187,7 @@ EOF
 extract_ns "$repo_root/BENCH_kernels.json" > "$scratch/base.txt"
 extract_ns "$fresh" > "$scratch/fresh.txt"
 awk 'NR == FNR { base[$1] = $2; next }
-     $1 ~ /^BM_(AStarRoute|AStarRouteBucket|ParityDsuUnite|NegotiatedRoute)/ &&
+     $1 ~ /^BM_(AStarRoute|ParityDsuUnite|NegotiatedRoute)/ &&
      ($1 in base) && base[$1] > 0 && $2 > 1.25 * base[$1] {
        printf "bench_smoke: %s regressed: %.0f ns vs baseline %.0f ns (>25%%)\n",
               $1, $2, base[$1] > "/dev/stderr"

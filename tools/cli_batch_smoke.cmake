@@ -71,12 +71,16 @@ foreach(bad "0" "-2" "2x")
 endforeach()
 message(STATUS "cli batch smoke OK (bad --jobs values rejected)")
 
-# The timing/negotiation knobs parse strictly too: --negotiate-iters wants a
-# positive integer, --history-cost a nonnegative decimal with no trailing
-# junk (strtod would silently read "1.5x" as 1.5).
-foreach(pair "--negotiate-iters;0" "--negotiate-iters;3x"
-             "--history-cost;-1" "--history-cost;1.5x"
-             "--history-cost;nan")
+# The timing/negotiation knobs parse strictly too: --negotiate-iters wants an
+# integer in 1..10000, --history-cost a decimal in 0..10000 with no trailing
+# junk (strtod would silently read "1.5x" as 1.5). An optional third field
+# is the range the error message must name; 4294967297 does not fit an int
+# and must not wrap to 1.
+foreach(pair "--negotiate-iters;0;1..10000" "--negotiate-iters;3x"
+             "--negotiate-iters;10001;1..10000" "--negotiate-iters;4294967297"
+             "--history-cost;-1;0..10000" "--history-cost;1.5x"
+             "--history-cost;nan" "--history-cost;10000.5;0..10000"
+             "--history-cost;10000000000000;0..10000")
   list(GET pair 0 flag)
   list(GET pair 1 bad)
   execute_process(COMMAND "${CLI}" --negotiate "${flag}" "${bad}"
@@ -86,6 +90,14 @@ foreach(pair "--negotiate-iters;0" "--negotiate-iters;3x"
   endif()
   if(NOT err MATCHES "usage:")
     message(FATAL_ERROR "${flag} ${bad} stderr lacks usage text:\n${err}")
+  endif()
+  list(LENGTH pair fields)
+  if(fields GREATER 2)
+    list(GET pair 2 range)
+    string(FIND "${err}" "${range}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "${flag} ${bad} stderr does not name ${range}:\n${err}")
+    endif()
   endif()
 endforeach()
 message(STATUS "cli batch smoke OK (bad timing option values rejected)")
@@ -111,3 +123,25 @@ foreach(case "--tile-words;2;decomposition always runs whole-window"
   endif()
 endforeach()
 message(STATUS "cli batch smoke OK (removed options rejected)")
+
+# Oversized designs are usage errors before anything is allocated: a grid
+# above 2^24 nodes (width*height*layers), or more demo nets than
+# width*height/2. The message names the limit.
+foreach(case "200000;200000;5;16777216 grid nodes"
+        "40;40;801;width*height/2 = 800")
+  list(GET case 0 w)
+  list(GET case 1 h)
+  list(GET case 2 nets)
+  list(GET case 3 limit)
+  execute_process(COMMAND "${CLI}" --seed-demo "${nets}" --width "${w}"
+                          --height "${h}"
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${w}x${h} with ${nets} nets exited ${rc}, want usage error 2\n${err}")
+  endif()
+  string(FIND "${err}" "${limit}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${w}x${h} with ${nets} nets: stderr does not name '${limit}':\n${err}")
+  endif()
+endforeach()
+message(STATUS "cli batch smoke OK (oversized designs rejected)")

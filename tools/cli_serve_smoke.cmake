@@ -77,6 +77,27 @@ execute_process(
       --expect-error bad_request
     client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"history_cost\":-0.5}' \
       --expect-error bad_request
+    # Negotiation knobs are capped at 10000 each, so no load can push a
+    # penalty field past what the fixed-point A* accepts; 4294967297 must
+    # not wrap to 1.
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"history_cost\":10000.5}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'history_cost must be a number in 0..10000' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"negotiate_iters\":10001}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'negotiate_iters must be an integer in 1..10000' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"load\",\"session\":\"tb\",\"nets\":5,\"width\":16,\"height\":16,\"negotiate\":true,\"negotiate_iters\":4294967297}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'negotiate_iters must be an integer in 1..10000' '${OUT_DIR}/range.json'
+    # An oversized design answers bad_request before anything is
+    # allocated, and the same daemon keeps serving.
+    client req --json '{\"op\":\"load\",\"session\":\"a\",\"nets\":5,\"width\":200000,\"height\":200000}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'must be at most 16777216 grid nodes' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"stats\"}' | grep -q '\"ok\":true'
+    client req --json '{\"op\":\"load\",\"session\":\"a\",\"nets\":33,\"width\":8,\"height\":8}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -qF 'nets must be at most width*height/2 = 32' '${OUT_DIR}/range.json'
     # Design-size and thread options are range-checked too: a value out of
     # range (or of the wrong type) answers bad_request naming the field and
     # its range instead of silently routing with the default.

@@ -16,6 +16,8 @@
 //   --no-repair         disable the post-pass violation repair
 //   --seed-demo N       ignore --nets and generate a demo instance with N
 //                       nets on the given grid instead
+//                       (grids above 2^24 nodes, width*height*layers, and
+//                       more than width*height/2 demo nets are rejected)
 //   --threads N         worker threads for parallel passes (overrides the
 //                       SADP_THREADS environment variable)
 //   --backend NAME      patterning backend: sadp2 (the default 2-color SADP
@@ -29,9 +31,9 @@
 //                       --timing): nets share cells under present + history
 //                       costs until overflow-free, and the history carries
 //                       into the main loop as a base penalty field
-//   --negotiate-iters N maximum negotiation iterations (default 16)
+//   --negotiate-iters N maximum negotiation iterations, 1..10000 (default 16)
 //   --history-cost X    history cost added to each overflowed cell per
-//                       negotiation iteration (default 1.0)
+//                       negotiation iteration, 0..10000 (default 1.0)
 //   --trace FILE        write a Chrome trace-event JSON (full span events)
 //   --metrics FILE      write a flat run-metrics JSON (counters, histograms,
 //                       per-phase wall times)
@@ -46,6 +48,7 @@
 //                       point jobs at distinct output files. Summaries print
 //                       in job order; the exit code is the worst job's.
 //   --jobs N            concurrent batch jobs (default 1)
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <fstream>
@@ -182,12 +185,19 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
     } else if (opt == "--negotiate-iters") {
       a.router.maxNegotiateIters =
           parseIntOpt("--negotiate-iters", value(i));
-      if (a.router.maxNegotiateIters <= 0) {
-        usage("--negotiate-iters wants a positive count");
+      if (a.router.maxNegotiateIters <= 0 ||
+          a.router.maxNegotiateIters > kMaxNegotiateIters) {
+        usage(("--negotiate-iters wants a count in 1.." +
+               std::to_string(kMaxNegotiateIters))
+                  .c_str());
       }
     } else if (opt == "--history-cost") {
       const double v = parseDoubleOpt("--history-cost", value(i));
-      if (v < 0.0) usage("--history-cost wants a nonnegative value");
+      if (v < 0.0 || v > kMaxHistoryCost) {
+        usage(("--history-cost wants a value in 0.." +
+               std::to_string(kMaxHistoryCost))
+                  .c_str());
+      }
       a.router.historyIncrement = float(v);
     } else if (opt == "--trace") {
       a.traceFile = value(i);
@@ -209,6 +219,9 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
   if (batchFile != nullptr && !batchFile->empty()) return a;  // batch driver
   if (a.width <= 0 || a.height <= 0) usage("--width/--height required");
   if (a.netsFile.empty() && a.seedDemo <= 0) usage("--nets required");
+  const std::string sizeError = designSizeError(
+      a.width, a.height, a.layers, std::max(a.seedDemo, 0));
+  if (!sizeError.empty()) usage(sizeError.c_str());
   return a;
 }
 
