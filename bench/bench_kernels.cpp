@@ -35,7 +35,6 @@
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/arena.hpp"
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 namespace {
@@ -291,7 +290,7 @@ void BM_NegotiatedRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_NegotiatedRoute)->Unit(benchmark::kMillisecond);
 
-// ---- Full-chip physical report (per-layer parallel) ------------------------
+// ---- Full-chip physical report --------------------------------------------
 
 /// One routed multi-layer instance shared by the report benchmarks.
 const OverlayAwareRouter& routedInstance() {
@@ -307,13 +306,11 @@ const OverlayAwareRouter& routedInstance() {
 
 void BM_PhysicalReport(benchmark::State& state) {
   const OverlayAwareRouter& router = routedInstance();
-  setParallelThreads(int(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(router.physicalReport());
   }
-  setParallelThreads(0);
 }
-BENCHMARK(BM_PhysicalReport)->Arg(1)->Arg(4)->ArgName("threads");
+BENCHMARK(BM_PhysicalReport);
 
 // ---- JSON result collection ------------------------------------------------
 

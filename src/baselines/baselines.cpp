@@ -5,7 +5,6 @@
 
 #include "run/run_context.hpp"
 #include "sadp/trim.hpp"
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 
@@ -29,30 +28,30 @@ double elapsed(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Adds one layer's trim-process sign-off into a physical report.
+void addTrimReport(OverlayReport& total, const TrimReport& t) {
+  total.sideOverlayNm += t.sideOverlayNm;
+  total.sideOverlaySections += t.sideOverlaySections;
+  total.hardOverlays += t.hardOverlays;
+  total.tipOverlays += t.tipOverlays;
+  total.cutSpaceConflicts += t.conflicts();
+}
+
 /// Measures a finished layout with the sign-off pipeline of the process
 /// the baseline targets: the trim-process decomposer for [10]/[11], the
 /// cut-process synthesizer (without overlay-aware assist trimming) for
 /// [16].
 BaselineResult measure(OverlayAwareRouter& router, const RoutingStats& stats,
-                       bool trimProcess, RunContext& ctx) {
+                       bool trimProcess) {
   BaselineResult r;
   r.stats = stats;
   r.overlayUnits = router.model().totalOverlayUnits();
   if (trimProcess) {
-    const int layers = router.grid().layers();
-    std::vector<TrimReport> perLayer(std::size_t(layers), TrimReport{});
-    parallelFor(ctx, layers, [&](int layer) {
-      perLayer[std::size_t(layer)] =
-          decomposeTrimLayer(router.coloredFragments(layer),
-                             router.grid().rules())
-              .report;
-    });
-    for (const TrimReport& t : perLayer) {
-      r.physical.sideOverlayNm += t.sideOverlayNm;
-      r.physical.sideOverlaySections += t.sideOverlaySections;
-      r.physical.hardOverlays += t.hardOverlays;
-      r.physical.tipOverlays += t.tipOverlays;
-      r.physical.cutSpaceConflicts += t.conflicts();
+    for (int layer = 0; layer < router.grid().layers(); ++layer) {
+      addTrimReport(r.physical,
+                    decomposeTrimLayer(router.coloredFragments(layer),
+                                       router.grid().rules())
+                        .report);
     }
   } else {
     DecomposeOptions opts;
@@ -92,7 +91,7 @@ BaselineResult runGreedyColorRouter(RoutingGrid& grid, const Netlist& netlist,
   const auto t0 = Clock::now();
   OverlayAwareRouter router(grid, netlist, o, &ctx);
   const RoutingStats stats = router.run();
-  BaselineResult r = measure(router, stats, trimProcess, ctx);
+  BaselineResult r = measure(router, stats, trimProcess);
   r.seconds = elapsed(t0);
   return r;
 }
@@ -197,8 +196,7 @@ BaselineResult runDuGraphModel(RoutingGrid& grid, const Netlist& netlist,
   result.overlayUnits = model.totalOverlayUnits();
   // Trim-process sign-off (Du et al. target SID/trim without assists).
   const DesignRules& rules = grid.rules();
-  std::vector<TrimReport> perLayer(std::size_t(grid.layers()));
-  parallelFor(ctx, grid.layers(), [&](int layer) {
+  for (int layer = 0; layer < grid.layers(); ++layer) {
     std::vector<ColoredFragment> cfs;
     for (const Fragment& f : model.fragmentsInWindow(
              layer, Rect{0, 0, grid.width(), grid.height()})) {
@@ -206,14 +204,7 @@ BaselineResult runDuGraphModel(RoutingGrid& grid, const Netlist& netlist,
       if (c == Color::Unassigned) c = Color::Core;
       cfs.push_back({f, c});
     }
-    perLayer[std::size_t(layer)] = decomposeTrimLayer(cfs, rules).report;
-  });
-  for (const TrimReport& t : perLayer) {
-    result.physical.sideOverlayNm += t.sideOverlayNm;
-    result.physical.sideOverlaySections += t.sideOverlaySections;
-    result.physical.hardOverlays += t.hardOverlays;
-    result.physical.tipOverlays += t.tipOverlays;
-    result.physical.cutSpaceConflicts += t.conflicts();
+    addTrimReport(result.physical, decomposeTrimLayer(cfs, rules).report);
   }
   result.conflicts =
       result.physical.cutConflicts() + stats.hardViolationsAccepted;

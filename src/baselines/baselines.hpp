@@ -50,9 +50,8 @@ struct BaselineResult {
 };
 
 /// Runs a baseline on the given problem. `timeoutSeconds` bounds the run
-/// (chiefly for [10], whose runtime grows quadratically). Metrics, spans
-/// and parallel fan-out go through `ctx` (the calling thread's bound
-/// context when null).
+/// (chiefly for [10], whose runtime grows quadratically). Metrics and
+/// spans go through `ctx` (the calling thread's bound context when null).
 BaselineResult runBaseline(BaselineKind kind, RoutingGrid& grid,
                            const Netlist& netlist,
                            double timeoutSeconds = 1e18,

@@ -31,10 +31,10 @@ struct ExperimentRow {
   std::int64_t negotiateOverflow = 0; ///< final negotiation overflow count
 };
 
-/// Runs the proposed overlay-aware router on an instance. Metrics, spans
-/// and parallel fan-out go through `ctx` (the calling thread's bound
-/// context when null). Every row field except cpuSeconds is deterministic
-/// for a given spec, independent of thread count or concurrent runs.
+/// Runs the proposed overlay-aware router on an instance. Metrics and
+/// spans go through `ctx` (the calling thread's bound context when null).
+/// Every row field except cpuSeconds is deterministic for a given spec,
+/// independent of concurrent runs.
 ExperimentRow runProposed(const BenchmarkSpec& spec,
                           RunContext* ctx = nullptr);
 

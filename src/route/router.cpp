@@ -8,7 +8,6 @@
 #include "run/run_context.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 
@@ -766,21 +765,24 @@ int OverlayAwareRouter::repairViolations(int maxPasses) {
   for (int pass = 0; pass < maxPasses; ++pass) {
     SADP_SPAN_ARG("router.repair_pass", pass);
     bool changed = false;
-    // Pass-start snapshots: all layers decompose in parallel. A snapshot is
-    // only valid while no repair action has mutated colors or routes since
-    // the pass started; `dirty` tracks that conservatively (set on every
-    // attempted reroute/teardown, not only kept ones, because a failed
-    // reroute still re-colors the restored net).
+    // Pass-start snapshots of every layer. A snapshot is only valid while
+    // no repair action has mutated colors or routes since the pass started;
+    // `dirty` tracks that conservatively (set on every attempted
+    // reroute/teardown, not only kept ones, because a failed reroute still
+    // re-colors the restored net), and a dirty pass re-decomposes.
     bool dirty = false;
-    std::vector<std::shared_ptr<const LayerDecomposition>> snapshots(
-        std::size_t(grid_->layers()));
-    parallelFor(*ctx_, grid_->layers(), [&](int l) {
+    std::vector<std::shared_ptr<const LayerDecomposition>> snapshots;
+    for (int l = 0; l < grid_->layers(); ++l) {
       SADP_SPAN_ARG("repair.snapshot_layer", l);
-      snapshots[std::size_t(l)] = decomposeShared(l);
-    });
+      snapshots.push_back(decomposeShared(l));
+    }
     for (int layer = 0; layer < grid_->layers(); ++layer) {
-      const std::shared_ptr<const LayerDecomposition> full =
-          dirty ? decomposeShared(layer) : snapshots[std::size_t(layer)];
+      std::shared_ptr<const LayerDecomposition> full =
+          snapshots[std::size_t(layer)];
+      if (dirty) {
+        SADP_SPAN_ARG("repair.redecompose_layer", layer);
+        full = decomposeShared(layer);
+      }
       std::vector<Rect> boxes = full->conflictBoxesNm;
       boxes.insert(boxes.end(), full->hardOverlayBoxesNm.begin(),
                    full->hardOverlayBoxesNm.end());
@@ -890,15 +892,12 @@ int OverlayAwareRouter::repairViolations(int maxPasses) {
     }
     if (!changed) break;
   }
-  std::vector<int> remainingPerLayer(std::size_t(grid_->layers()), 0);
-  parallelFor(*ctx_, grid_->layers(), [&](int layer) {
+  int remaining = 0;
+  for (int layer = 0; layer < grid_->layers(); ++layer) {
     SADP_SPAN_ARG("repair.signoff_layer", layer);
     const auto d = decomposeShared(layer);
-    remainingPerLayer[std::size_t(layer)] =
-        d->report.cutConflicts() + d->report.hardOverlays;
-  });
-  int remaining = 0;
-  for (const int r : remainingPerLayer) remaining += r;
+    remaining += d->report.cutConflicts() + d->report.hardOverlays;
+  }
   return remaining;
 }
 
@@ -1007,15 +1006,11 @@ OverlayReport OverlayAwareRouter::physicalReport(
     const DecomposeOptions& opts) const {
   RunContext::Scope bind(*ctx_);
   SADP_SPAN("router.physical_report");
-  // Layers decompose independently; reduce in layer order so the report is
-  // identical for any thread count.
-  std::vector<OverlayReport> perLayer(std::size_t(grid_->layers()));
-  parallelFor(*ctx_, grid_->layers(), [&](int layer) {
-    SADP_SPAN_ARG("report.layer", layer);
-    perLayer[std::size_t(layer)] = decomposeShared(layer, opts)->report;
-  });
   OverlayReport total;
-  for (const OverlayReport& r : perLayer) total += r;
+  for (int layer = 0; layer < grid_->layers(); ++layer) {
+    SADP_SPAN_ARG("report.layer", layer);
+    total += decomposeShared(layer, opts)->report;
+  }
   return total;
 }
 

@@ -107,7 +107,7 @@ struct RouterOptions {
   /// maxNegotiateIters). The accumulated history survives into the main
   /// exclusive-occupancy loop as a base penalty field, steering it away
   /// from the contested cells up front. Deterministic and serial: results
-  /// stay byte-identical across thread counts and ECO replay.
+  /// stay byte-identical across reruns and ECO replay.
   bool negotiate = false;
   int maxNegotiateIters = 16;     ///< negotiation iteration cap
   float historyIncrement = 1.0f;  ///< history added per overflowed cell/iter
@@ -145,9 +145,9 @@ struct RoutingStats {
 
 class OverlayAwareRouter {
  public:
-  /// All metrics, spans and parallel fan-out of this router report into /
-  /// draw from `ctx` (the calling thread's bound context when null), so
-  /// concurrent routers with distinct contexts are fully isolated.
+  /// All metrics and spans of this router report into `ctx` (the calling
+  /// thread's bound context when null), so concurrent routers with
+  /// distinct contexts are fully isolated.
   OverlayAwareRouter(RoutingGrid& grid, const Netlist& netlist,
                      RouterOptions options = {}, RunContext* ctx = nullptr);
 

@@ -8,7 +8,7 @@
 // connectivity our synthetic benchmarks do not carry). Arrival, required
 // time and slack propagate over a topological order in pure int64
 // arithmetic, so every consumer (net ordering, per-net A* weights, CSV
-// fields) is bit-reproducible across platforms and thread counts.
+// fields) is bit-reproducible across platforms and runs.
 //
 // Criticality is quantized to 1/64 steps (crit64 in [0, 64]): the router
 // folds it into AStarParams::wrongWay and beta as multiples of 1/64, which

@@ -5,7 +5,7 @@
 // rules, the output-affecting options). The ignored tileWords field and
 // the bound RunContext cannot change a byte of the result, so they are
 // deliberately EXCLUDED from the key: a request made under another
-// context or thread count still hits. Keys are 128-bit content digests;
+// context still hits. Keys are 128-bit content digests;
 // collisions are assumed negligible and the honesty test
 // (tests/test_mask_cache.cpp) pins the contract that a key hit returns a
 // byte-identical plane.

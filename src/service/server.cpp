@@ -582,12 +582,6 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
     if (const auto v = intField(req, "seed")) spec.seed = std::uint64_t(*v);
     if (pinCandidates) spec.pinCandidates = int(*pinCandidates);
   }
-  std::optional<std::int64_t> threads;
-  if (std::string msg;
-      !rangedIntField(req, "threads", 1, kNoMax, &threads, &msg)) {
-    *errCode = "bad_request";
-    return errResp(&req, "bad_request", msg);
-  }
 
   // {"cache":false} opts the session out of the shared MaskCache -- the
   // behaviour of a standalone cold route, used as the honest baseline by
@@ -597,12 +591,17 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
       c != nullptr && c->isBool() && !c->asBool()) {
     cache = nullptr;
   }
-  // Nets always commit one at a time: the old wave-parallel knob is an
-  // error that says so, not a silently ignored field.
+  // Removed knobs are errors that say why, not silently ignored fields:
+  // nets always commit one at a time, and a run always uses one thread.
   if (req.find("route_jobs") != nullptr) {
     *errCode = "bad_request";
     return errResp(&req, "bad_request",
                    "route_jobs was removed: nets always route sequentially");
+  }
+  if (req.find("threads") != nullptr) {
+    *errCode = "bad_request";
+    return errResp(&req, "bad_request",
+                   "threads was removed: a run always uses one thread");
   }
   RouterOptions routerOpts;
   // {"backend":"tpl3"} selects the session's patterning backend; absent
@@ -659,7 +658,6 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
     routerOpts.historyIncrement = float(v->asDouble());
   }
   auto session = std::make_shared<Session>(name, spec, cache, routerOpts);
-  if (threads) session->setThreads(int(*threads));
   {
     std::lock_guard<std::mutex> lk(sessionsMu_);
     if (sessions_.count(name) != 0) {

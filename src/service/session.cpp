@@ -260,10 +260,12 @@ RouteOutcome Session::runOnce(int netsDirty, const Rect& dirtyTr,
   }
   out.designFp = fp;
 
-  std::ostringstream row;  // must match sadp_route_cli's --csv row
+  // Must match sadp_route_cli's --csv row, whose thread-count column is
+  // always 1: a run executes on one thread.
+  std::ostringstream row;
   row << out.stats.totalNets << ',' << out.stats.routability() << ','
       << out.report.sideOverlayNm << ',' << out.report.cutConflicts() << ','
-      << out.report.hardOverlays << ',' << ctx_.threadCount();
+      << out.report.hardOverlays << ",1";
   if (out.stats.timingValid) {
     row << ',' << out.stats.worstSlack << ',' << out.stats.negotiateIters
         << ',' << out.stats.negotiateOverflow;

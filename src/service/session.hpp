@@ -124,7 +124,9 @@ class Session {
   /// Replaces the design's netlist (the next run routes it cold-style:
   /// the memo store is cleared).
   void setNets(std::vector<NetSpec> nets);
-  void setThreads(int n) { ctx_.setThreadCount(n); }
+  /// No-op: a run always executes on its calling thread. Kept only
+  /// because perfbench/ still calls it; delete it with those calls.
+  void setThreads(int) {}
 
   /// Full route with an empty memo store; records logs for later edits.
   RouteOutcome routeFull();

@@ -168,8 +168,8 @@ void writeMetricsJson(
     os << "]}";
   }
   // Span wall-time aggregates: the per-phase timing view. Only present
-  // when tracing ran at Aggregate level or above; NOT thread-count
-  // deterministic (wall clock).
+  // when tracing ran at Aggregate level or above; NOT deterministic
+  // (wall clock).
   os << "\n  },\n  \"phases\": {";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     os << (i ? ",\n    \"" : "\n    \"");

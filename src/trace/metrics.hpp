@@ -5,9 +5,9 @@
 // an uncontended atomic increment is a few ns, far below every call site's
 // own cost, and keeping them on means a metrics report never silently
 // reads zero. Because every counted quantity is a property of the work
-// itself (an iteration, a rip-up, a node expansion) and addition is
-// order-independent, counter totals are byte-identical for every
-// SADP_THREADS value -- the determinism contract of DESIGN.md §5.6/§5.7.
+// itself (an iteration, a rip-up, a node expansion), counter totals are
+// byte-identical across reruns and across concurrent runs -- the
+// determinism contract of DESIGN.md §5.7.
 // Timings (span aggregates, exported alongside) carry no such guarantee.
 //
 // A MetricsRegistry is an ordinary object so every run can own a fresh
@@ -125,8 +125,7 @@ inline Counter& metricsCounter(const std::string& name) {
 /// "histograms", "phases" (the given span wall-time aggregates), then
 /// `extra` top-level pairs verbatim. `extra` values must already be valid
 /// JSON fragments (numbers, quoted strings, ...). Only the "counters"
-/// section is thread-count deterministic; "phases" holds wall-clock
-/// measurements.
+/// section is deterministic; "phases" holds wall-clock measurements.
 void writeMetricsJson(
     std::ostream& os, const MetricsRegistry& m,
     const std::vector<SpanAggregate>& phases,

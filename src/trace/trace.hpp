@@ -18,8 +18,9 @@
 // falls back to the process-default sink when unbound -- which is exactly
 // the pre-context behaviour, so unscoped code keeps working.
 //
-// Buffers are owned by their sink and outlive their threads, which is what
-// makes short-lived parallelFor workers traceable. Collection/clearing
+// Buffers are owned by their sink and outlive their threads, so a sink
+// shared by several threads (the service binds one context on every
+// worker) keeps every worker's spans. Collection/clearing
 // must happen while no traced work is in flight in that sink, and a
 // non-default sink must outlive every span that began under it (every
 // caller in this repo joins its workers first).
@@ -78,8 +79,8 @@ struct TraceEvent {
 };
 
 /// Per-name wall-time totals accumulated at Aggregate and Full levels,
-/// sorted by name. Counts are properties of the work and thread-count
-/// deterministic; wallNs is wall clock and is not.
+/// sorted by name. Counts are properties of the work and equal across
+/// reruns; wallNs is wall clock and is not.
 struct SpanAggregate {
   std::string name;
   std::int64_t count = 0;
@@ -168,7 +169,7 @@ void writeChromeTrace(std::ostream& os);
   ::sadp::Span SADP_TRACE_CAT(sadpSpan_, __LINE__)(                     \
       SADP_TRACE_CAT(sadpSpanName_, __LINE__))
 
-/// Span with one integer argument (net id, layer, worker slot, ...).
+/// Span with one integer argument (net id, layer, pass, ...).
 #define SADP_SPAN_ARG(name, argValue)                                   \
   static const std::uint32_t SADP_TRACE_CAT(sadpSpanName_, __LINE__) =  \
       ::sadp::internSpanName(name);                                     \

@@ -20,9 +20,9 @@
 //
 // Thread contract: an Arena is NOT thread-safe. The RunContext-owned
 // arenas are touched only by the run's driving thread (the router, A*,
-// coloring); parallelFor workers never allocate from them. Distinct
-// concurrent runs use distinct contexts and therefore distinct arenas --
-// the same isolation contract the metrics registries follow.
+// coloring). Distinct concurrent runs use distinct contexts and therefore
+// distinct arenas -- the same isolation contract the metrics registries
+// follow.
 #pragma once
 
 #include <cassert>

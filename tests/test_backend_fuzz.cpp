@@ -60,7 +60,6 @@ enum class Select { Default, ExplicitOption, ContextName };
 
 RouteDigest routeOnce(const BenchmarkSpec& spec, Select how) {
   RunContext ctx;
-  ctx.setThreadCount(2);
   if (how == Select::ContextName) ctx.setPatterningBackendName("sadp2");
   BenchmarkInstance inst = makeBenchmark(spec);
   RouterOptions ro;

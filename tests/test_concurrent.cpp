@@ -22,10 +22,8 @@ namespace sadp {
 namespace {
 
 /// Everything a run produces that the isolation contract covers. Span
-/// wall times and cpuSeconds are wall clock and excluded by design;
-/// "parallel.worker" span COUNTS are excluded too because the number of
-/// spawned workers depends on what the shared global pool grants, which
-/// legitimately differs between a lone run and two concurrent ones.
+/// wall times and cpuSeconds are wall clock and excluded by design; every
+/// span COUNT must match.
 struct RunArtifacts {
   std::vector<CounterSample> counters;
   std::vector<std::pair<std::string, std::int64_t>> spanCounts;
@@ -35,9 +33,8 @@ struct RunArtifacts {
   friend bool operator==(const RunArtifacts&, const RunArtifacts&) = default;
 };
 
-RunArtifacts runPipeline(const BenchmarkSpec& spec, int threads = 2) {
+RunArtifacts runPipeline(const BenchmarkSpec& spec) {
   RunContext ctx;
-  ctx.setThreadCount(threads);
   ctx.setTraceLevel(TraceLevel::Aggregate);
   RunContext::Scope bind(ctx);
 
@@ -63,7 +60,6 @@ RunArtifacts runPipeline(const BenchmarkSpec& spec, int threads = 2) {
 
   a.counters = ctx.metrics().counterSnapshot();
   for (const SpanAggregate& agg : ctx.trace().aggregates()) {
-    if (agg.name == "parallel.worker") continue;
     a.spanCounts.emplace_back(agg.name, agg.count);
   }
   return a;
@@ -94,28 +90,6 @@ TEST(ConcurrentIsolation, TwoConcurrentFullRunsMatchSerialExecution) {
   EXPECT_EQ(serialB.spanCounts, concurrentB.spanCounts);
   EXPECT_EQ(serialB.maskFingerprints, concurrentB.maskFingerprints);
   EXPECT_EQ(serialB.csvRow, concurrentB.csvRow);
-}
-
-TEST(ConcurrentIsolation, ThreadBudgetOfOneInsideMultiContextPool) {
-  // Degenerate budget: one context pinned to a single thread while a
-  // sibling context fans out in the same process. The 1-thread run must
-  // neither borrow workers from the global pool (its parallel loops are
-  // inline by contract) nor be perturbed by the sibling's traffic -- its
-  // artifacts match the same 1-thread run executed alone.
-  const BenchmarkSpec specA = paperBenchmark("Test1").scaled(0.05);
-  const BenchmarkSpec specB = paperBenchmark("Test2").scaled(0.04);
-
-  const RunArtifacts serialNarrow = runPipeline(specA, /*threads=*/1);
-  const RunArtifacts serialWide = runPipeline(specB, /*threads=*/3);
-
-  RunArtifacts narrow, wide;
-  std::thread tn([&] { narrow = runPipeline(specA, /*threads=*/1); });
-  std::thread tw([&] { wide = runPipeline(specB, /*threads=*/3); });
-  tn.join();
-  tw.join();
-
-  EXPECT_EQ(serialNarrow, narrow);
-  EXPECT_EQ(serialWide, wide);
 }
 
 TEST(ConcurrentIsolation, SameDesignConcurrentlyTwiceIsDeterministic) {

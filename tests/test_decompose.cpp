@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 namespace {
@@ -270,20 +269,6 @@ TEST(DecomposeTiling, TiledMatchesWholeWindowReference) {
     expectSameDecomposition(decomposeLayer(frags, kRules, opts), want,
                             "seed=" + std::to_string(seed) +
                                 " tileWords=" + std::to_string(opts.tileWords));
-  }
-}
-
-TEST(DecomposeTiling, ThreadCountIndependent) {
-  // The worker count of the bound context must never change a plane.
-  for (std::uint32_t seed : {7u, 1234u, 424242u}) {
-    const std::vector<ColoredFragment> frags = randomFragments(seed);
-    setParallelThreads(1);
-    const LayerDecomposition one = decomposeLayer(frags, kRules);
-    setParallelThreads(4);
-    const LayerDecomposition four = decomposeLayer(frags, kRules);
-    setParallelThreads(0);
-    expectSameDecomposition(four, one,
-                            "threads 4 vs 1, seed=" + std::to_string(seed));
   }
 }
 

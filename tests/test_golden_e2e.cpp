@@ -1,8 +1,8 @@
 // Golden end-to-end regression: route one small fixed benchmark, then
 // compare the full eval CSV row (wall time pinned to 0) and the per-layer
 // mask-plane fingerprints against the committed fixture in tests/golden/.
-// The same document must come out at every thread count -- this is the
-// whole-pipeline version of the determinism contract (DESIGN.md §5.7). Regenerate fixtures with SADP_UPDATE_GOLDEN=1.
+// This is the whole-pipeline version of the determinism contract
+// (DESIGN.md §5.7). Regenerate fixtures with SADP_UPDATE_GOLDEN=1.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include "route/router.hpp"
 #include "sadp/bitmap.hpp"
 #include "sadp/decompose.hpp"
-#include "util/parallel_for.hpp"
 
 #ifndef SADP_GOLDEN_DIR
 #error "SADP_GOLDEN_DIR must point at the tests/golden fixture directory"
@@ -38,8 +37,7 @@ std::string hex16(std::uint64_t v) {
 /// CSV (cpuSeconds is the only nondeterministic column, so it is pinned to
 /// 0) followed by one fingerprint line per layer covering all six mask
 /// planes of the decomposition.
-std::string runPipeline(int threads) {
-  setParallelThreads(threads);
+std::string runPipeline() {
   const BenchmarkSpec spec = paperBenchmark("Test1").scaled(0.06);
   BenchmarkInstance inst = makeBenchmark(spec);
   OverlayAwareRouter router(inst.grid, inst.netlist, RouterOptions{});
@@ -68,14 +66,13 @@ std::string runPipeline(int threads) {
         << " assists=" << hex16(fingerprint(d.assists))
         << " bridges=" << hex16(fingerprint(d.bridges)) << "\n";
   }
-  setParallelThreads(0);
   return doc.str();
 }
 
-TEST(GoldenE2E, MatchesCommittedFixtureAcrossThreadsAndTiling) {
+TEST(GoldenE2E, MatchesCommittedFixture) {
   const std::string path =
       std::string(SADP_GOLDEN_DIR) + "/test1_s006.golden";
-  const std::string fresh = runPipeline(1);
+  const std::string fresh = runPipeline();
   if (std::getenv("SADP_UPDATE_GOLDEN")) {
     std::ofstream f(path, std::ios::binary);
     ASSERT_TRUE(f) << "cannot write " << path;
@@ -88,14 +85,7 @@ TEST(GoldenE2E, MatchesCommittedFixtureAcrossThreadsAndTiling) {
                  << " -- regenerate with SADP_UPDATE_GOLDEN=1";
   std::stringstream buf;
   buf << f.rdbuf();
-  const std::string golden = buf.str();
-  EXPECT_EQ(fresh, golden)
-      << "single-thread pipeline diverged from the fixture";
-  // The document must be invariant to the worker count: threading changes
-  // how the per-layer work is split, never the result.
-  for (int threads : {2, 4}) {
-    EXPECT_EQ(runPipeline(threads), golden) << "threads=" << threads;
-  }
+  EXPECT_EQ(fresh, buf.str()) << "pipeline diverged from the fixture";
 }
 
 // Both SIMD dispatch levels must land on the committed document: the
@@ -116,7 +106,7 @@ TEST(GoldenE2E, SimdDispatchMatrixByteIdentical) {
   } configs[] = {{SimdLevel::Auto, "auto"}, {SimdLevel::Scalar, "scalar"}};
   for (const auto& c : configs) {
     setBitmapSimdLevel(c.simd);
-    EXPECT_EQ(runPipeline(1), golden) << c.name << " diverged from the fixture";
+    EXPECT_EQ(runPipeline(), golden) << c.name << " diverged from the fixture";
   }
   setBitmapSimdLevel(SimdLevel::Auto);
 }
@@ -150,8 +140,7 @@ std::vector<ColoredFragment> skewedLayer() {
 
 /// Golden document of one decomposition: the overlay report's fields, the
 /// six plane fingerprints, and the cut mask's nm rectangles.
-std::string decomposeDoc(int threads) {
-  setParallelThreads(threads);
+std::string decomposeDoc() {
   const DesignRules rules;
   const std::vector<ColoredFragment> frags = skewedLayer();
   const LayerDecomposition d = decomposeLayer(frags, rules);
@@ -171,7 +160,6 @@ std::string decomposeDoc(int threads) {
   for (const Rect& r : rasterToNmRects(d.cut, d.windowNm))
     doc << "cut " << r.xlo << " " << r.ylo << " " << r.xhi << " " << r.yhi
         << "\n";
-  setParallelThreads(0);
   return doc.str();
 }
 
@@ -286,9 +274,8 @@ TEST(GoldenE2E, CongestedTimingFixtureAndSlackClaims) {
 // split hard classes on removal, flips span many OCG components, and
 // repair re-routes nets -- the per-net router paths a byte-identity claim
 // about rip-up, flipping and the cut check has to cover. One
-// configuration only (threads 1) to keep the suite fast.
+// configuration only to keep the suite fast.
 std::string quarterTest1Doc() {
-  setParallelThreads(1);
   BenchmarkInstance inst = makeBenchmark(paperBenchmark("Test1").scaled(0.25));
   OverlayAwareRouter router(inst.grid, inst.netlist);
   const RoutingStats stats = router.run();
@@ -328,7 +315,6 @@ std::string quarterTest1Doc() {
         << " assists=" << hex16(fingerprint(d.assists))
         << " bridges=" << hex16(fingerprint(d.bridges)) << "\n";
   }
-  setParallelThreads(0);
   return doc.str();
 }
 
@@ -352,10 +338,10 @@ TEST(GoldenE2E, QuarterScaleTest1Fixture) {
       << "quarter-scale Test1 document diverged from the fixture";
 }
 
-TEST(GoldenE2E, SkewedDensityFixtureInvariantToSchedule) {
+TEST(GoldenE2E, SkewedDensityFixture) {
   const std::string path =
       std::string(SADP_GOLDEN_DIR) + "/skewed_layer.golden";
-  const std::string fresh = decomposeDoc(1);
+  const std::string fresh = decomposeDoc();
   if (std::getenv("SADP_UPDATE_GOLDEN")) {
     std::ofstream f(path, std::ios::binary);
     ASSERT_TRUE(f) << "cannot write " << path;
@@ -368,12 +354,8 @@ TEST(GoldenE2E, SkewedDensityFixtureInvariantToSchedule) {
                  << " -- regenerate with SADP_UPDATE_GOLDEN=1";
   std::stringstream buf;
   buf << f.rdbuf();
-  const std::string golden = buf.str();
-  EXPECT_EQ(fresh, golden)
-      << "serial skewed-layer decomposition diverged from the fixture";
-  for (int threads : {4, 8}) {
-    EXPECT_EQ(decomposeDoc(threads), golden) << "threads=" << threads;
-  }
+  EXPECT_EQ(fresh, buf.str())
+      << "skewed-layer decomposition diverged from the fixture";
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // RunContext semantics (DESIGN.md §5.8): fresh per-context registries,
-// reset(), thread-count precedence, and thread-scoped binding.
+// reset(), and thread-scoped binding.
 #include "run/run_context.hpp"
 
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "netlist/benchmark.hpp"
 #include "route/router.hpp"
@@ -56,26 +54,6 @@ TEST(RunContext, ContextCountersDoNotLeakIntoProcessDefault) {
   EXPECT_EQ(
       MetricsRegistry::instance().counter("astar.expansions").value(),
       before);
-}
-
-TEST(RunContext, ThreadCountPrecedenceExplicitOverEnvOverHardware) {
-  // SADP_THREADS is parsed once at construction and cached.
-  ASSERT_EQ(setenv("SADP_THREADS", "5", /*overwrite=*/1), 0);
-  RunContext envCtx;
-  EXPECT_EQ(envCtx.threadCount(), 5);
-  envCtx.setThreadCount(2);  // explicit beats env
-  EXPECT_EQ(envCtx.threadCount(), 2);
-  envCtx.setThreadCount(0);  // back to the cached env value
-  EXPECT_EQ(envCtx.threadCount(), 5);
-  // The cache is per-context: a context built after the env changes sees
-  // the new value, the old context keeps its snapshot.
-  ASSERT_EQ(setenv("SADP_THREADS", "3", 1), 0);
-  RunContext envCtx2;
-  EXPECT_EQ(envCtx2.threadCount(), 3);
-  EXPECT_EQ(envCtx.threadCount(), 5);
-  ASSERT_EQ(unsetenv("SADP_THREADS"), 0);
-  RunContext hwCtx;
-  EXPECT_GE(hwCtx.threadCount(), 1);  // hardware fallback
 }
 
 TEST(RunContext, ScopeBindsAndRestores) {

@@ -10,7 +10,6 @@
 
 #include "sadp/mask_cache.hpp"
 #include "service/session.hpp"
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 namespace {
@@ -69,19 +68,15 @@ void expectSameOutcome(const RouteOutcome& eco, const RouteOutcome& cold,
 }
 
 /// `cases` seeded sequences of random edits; every ECO replay is compared
-/// against a cold route of the same edited design. Both sessions run at
-/// `threads` workers (0 = the environment default), since the CSV row's
-/// trailing column reports the thread count. Returns the memo hits summed
-/// over all replays.
-std::int64_t fuzzEcoAgainstCold(int cases, std::uint64_t seedBase,
-                                int threads) {
+/// against a cold route of the same edited design. Returns the memo hits
+/// summed over all replays.
+std::int64_t fuzzEcoAgainstCold(int cases, std::uint64_t seedBase) {
   constexpr int kEditsPerCase = 2;
   std::int64_t totalMemoHits = 0;
   for (int caseId = 0; caseId < cases; ++caseId) {
     std::mt19937_64 rng(seedBase + std::uint64_t(caseId));
     MaskCache cache;
     Session eco("eco", fuzzSpec(1 + std::uint64_t(caseId % 7)), &cache);
-    eco.setThreads(threads);
     eco.routeFull();
     for (int step = 0; step < kEditsPerCase; ++step) {
       const EditRequest e = randomEdit(rng, eco, caseId, step);
@@ -93,7 +88,6 @@ std::int64_t fuzzEcoAgainstCold(int cases, std::uint64_t seedBase,
       MaskCache coldCache;
       Session cold("cold", fuzzSpec(1 + std::uint64_t(caseId % 7)),
                    &coldCache);
-      cold.setThreads(threads);
       cold.setNets(eco.netSpecs());
       const RouteOutcome ref = cold.routeFull();
       expectSameOutcome(*out, ref, caseId, step);
@@ -105,16 +99,7 @@ std::int64_t fuzzEcoAgainstCold(int cases, std::uint64_t seedBase,
 
 TEST(ServiceFuzz, EcoReplaysMatchColdRoutes) {
   // The replays must actually memoize, not silently re-search everything.
-  EXPECT_GT(fuzzEcoAgainstCold(100, 0x5adb0000u, 0), 0);
-}
-
-/// The same gate with four-thread sessions over a widened process pool, so
-/// the per-layer parallel passes fan out during ECO replay even on a
-/// single-CPU host, where the default run above stays inline.
-TEST(ServiceFuzz, EcoReplaysAtFourThreadsMatchColdRoutes) {
-  setParallelThreads(8);
-  EXPECT_GT(fuzzEcoAgainstCold(30, 0x5adb1000u, 4), 0);
-  setParallelThreads(0);
+  EXPECT_GT(fuzzEcoAgainstCold(100, 0x5adb0000u), 0);
 }
 
 /// Two sessions editing concurrently against ONE shared MaskCache must

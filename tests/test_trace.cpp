@@ -1,6 +1,7 @@
 // Tests of the run-trace & metrics subsystem (DESIGN.md §5.7): span
-// nesting/ordering, the null-sink fast path, counter determinism across
-// thread counts, histogram bucketing, and the Chrome trace JSON export.
+// nesting/ordering, the null-sink fast path, buffers of a context shared by
+// several threads, histogram bucketing, decompose counters, and the Chrome
+// trace JSON export.
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -15,11 +16,9 @@
 #include <utility>
 #include <vector>
 
-#include "netlist/benchmark.hpp"
-#include "route/router.hpp"
+#include "run/run_context.hpp"
 #include "sadp/decompose.hpp"
 #include "trace/metrics.hpp"
-#include "util/parallel_for.hpp"
 
 namespace sadp {
 namespace {
@@ -112,19 +111,24 @@ TEST(Trace, AggregateLevelCountsWithoutBufferingEvents) {
 }
 
 TEST(Trace, WorkerThreadBuffersOutliveThreads) {
-  LevelGuard guard(TraceLevel::Full);
-  setParallelThreads(4);
-  parallelFor(8, [&](int) {
-    SADP_SPAN("test.worker_body");
-    spinNs(5000);
-  });
-  setParallelThreads(0);
-  const std::vector<TraceEvent> evs = collectTraceEvents();
+  // The service shape: every worker thread binds one shared context, as
+  // RouteServer::handle does, and exits before anyone collects.
+  RunContext ctx;
+  ctx.setTraceLevel(TraceLevel::Full);
+  std::vector<std::thread> workers;
+  for (int i = 0; i < 8; ++i) {
+    workers.emplace_back([&ctx] {
+      RunContext::Scope bind(ctx);
+      SADP_SPAN("test.worker_body");
+      spinNs(5000);
+    });
+  }
+  for (std::thread& t : workers) t.join();
   int bodies = 0;
-  for (const TraceEvent& e : evs) {
+  for (const TraceEvent& e : ctx.trace().collectEvents()) {
     if (e.name == "test.worker_body") ++bodies;
   }
-  EXPECT_EQ(bodies, 8);  // all 8 jobs traced even though workers exited
+  EXPECT_EQ(bodies, 8);  // all 8 spans traced even though workers exited
 }
 
 TEST(Metrics, HistogramLogBuckets) {
@@ -144,42 +148,6 @@ TEST(Metrics, HistogramLogBuckets) {
   EXPECT_EQ(h.bucketCount(4), 2);
   h.reset();
   EXPECT_EQ(h.count(), 0);
-}
-
-// ---- Counter determinism across thread counts ------------------------------
-
-std::vector<CounterSample> routeAndSnapshot(int threads) {
-  MetricsRegistry::instance().resetAll();
-  clearTrace();
-  setParallelThreads(threads);
-  BenchmarkInstance inst =
-      makeBenchmark(paperBenchmark("Test1").scaled(0.06));
-  OverlayAwareRouter router(inst.grid, inst.netlist);
-  router.run();
-  router.physicalReport();
-  setParallelThreads(0);
-  return MetricsRegistry::instance().counterSnapshot();
-}
-
-TEST(Metrics, CountersByteIdenticalAcrossThreadCounts) {
-  // The determinism contract (DESIGN.md §5.7): counters measure properties
-  // of the work itself, so SADP_THREADS must not change any total.
-  const std::vector<CounterSample> one = routeAndSnapshot(1);
-  ASSERT_FALSE(one.empty());
-  bool sawAstar = false;
-  for (const auto& [name, value] : one) {
-    if (name == "astar.routes") sawAstar = value > 0;
-  }
-  EXPECT_TRUE(sawAstar);
-  for (int threads : {2, 4}) {
-    const std::vector<CounterSample> other = routeAndSnapshot(threads);
-    ASSERT_EQ(one.size(), other.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < one.size(); ++i) {
-      EXPECT_EQ(one[i].first, other[i].first) << "threads=" << threads;
-      EXPECT_EQ(one[i].second, other[i].second)
-          << "counter " << one[i].first << " threads=" << threads;
-    }
-  }
 }
 
 // ---- Decomposition counters & the ignored tile width -----------------------
@@ -205,50 +173,30 @@ std::vector<ColoredFragment> tileTestFragments() {
 }
 
 /// Counter snapshot plus window word count after one decomposeLayer run.
-std::pair<std::vector<CounterSample>, int> decomposeSnapshot(int threads,
-                                                             int tileWords) {
+std::pair<std::vector<CounterSample>, int> decomposeSnapshot(int tileWords) {
   MetricsRegistry::instance().resetAll();
-  setParallelThreads(threads);
   DecomposeOptions opts;
   opts.tileWords = tileWords;
   const std::vector<ColoredFragment> frags = tileTestFragments();
   const LayerDecomposition d = decomposeLayer(frags, DesignRules{}, opts);
-  setParallelThreads(0);
   return {MetricsRegistry::instance().counterSnapshot(),
           Bitmap::wordsPerRow(d.target.width())};
 }
 
-TEST(Metrics, TileCountersByteIdenticalAcrossThreadCounts) {
-  // A multi-word window decomposed with a band width set: the layer runs
-  // over the whole window (no decompose.tile* counters exist), and every
-  // counter total must survive SADP_THREADS.
-  const auto [one, wprOne] = decomposeSnapshot(1, 2);
-  ASSERT_GT(wprOne, 2);
-  ASSERT_FALSE(one.empty());
-  EXPECT_EQ(counterValue(one, "decompose.calls"), 1);
-  for (const auto& [name, value] : one) {
-    EXPECT_NE(name.rfind("decompose.tile", 0), 0u) << name << "=" << value;
-  }
-  for (int threads : {2, 4}) {
-    const auto [other, wprN] = decomposeSnapshot(threads, 2);
-    EXPECT_EQ(wprN, wprOne);
-    ASSERT_EQ(one.size(), other.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < one.size(); ++i) {
-      EXPECT_EQ(one[i].first, other[i].first) << "threads=" << threads;
-      EXPECT_EQ(one[i].second, other[i].second)
-          << "counter " << one[i].first << " threads=" << threads;
-    }
-  }
-}
-
 TEST(Metrics, WorkCountersIndependentOfTileSize) {
   // DecomposeOptions::tileWords is ignored, so no band width may change
-  // how much work is done: every counter total, parallel.* included,
-  // matches the whole-window reference.
-  const auto ref = decomposeSnapshot(1, -1).first;
+  // how much work is done: a multi-word window is decomposed once over the
+  // whole window (no decompose.tile* counters exist), and every counter
+  // total matches the whole-window reference.
+  const auto [ref, wpr] = decomposeSnapshot(-1);
+  ASSERT_GT(wpr, 2);
   ASSERT_FALSE(ref.empty());
+  EXPECT_EQ(counterValue(ref, "decompose.calls"), 1);
+  for (const auto& [name, value] : ref) {
+    EXPECT_NE(name.rfind("decompose.tile", 0), 0u) << name << "=" << value;
+  }
   for (int tileWords : {0, 1, 2, 8}) {
-    EXPECT_EQ(decomposeSnapshot(1, tileWords).first, ref)
+    EXPECT_EQ(decomposeSnapshot(tileWords).first, ref)
         << "tileWords=" << tileWords;
   }
 }

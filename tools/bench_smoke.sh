@@ -34,8 +34,8 @@ scratch=$(mktemp -d "${TMPDIR:-/tmp}/bench_smoke.XXXXXX")
 serve_pid=
 trap 'if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi
       rm -rf "$scratch"' EXIT
-job_a="--seed-demo 36 --width 110 --height 110 --threads 2"
-job_b="--seed-demo 28 --width 95 --height 95 --threads 2"
+job_a="--seed-demo 36 --width 110 --height 110"
+job_b="--seed-demo 28 --width 95 --height 95"
 # shellcheck disable=SC2086  # word-splitting the option strings is intended
 "$cli" $job_a --masks "$scratch/serialA_" >/dev/null || [ $? -eq 3 ]
 # shellcheck disable=SC2086
@@ -58,7 +58,7 @@ echo "bench_smoke: batch --jobs 2 mask planes byte-identical to serial"
 # planes must equal the default run's. The triple-patterning backend gets
 # a determinism smoke: two `--backend tpl3` runs of the same design must
 # agree byte-for-byte and route with zero hard overlays (exit 0).
-bk_job="--seed-demo 30 --width 60 --height 60 --threads 2"
+bk_job="--seed-demo 30 --width 60 --height 60"
 # shellcheck disable=SC2086
 "$cli" $bk_job --masks "$scratch/bkdef_" >/dev/null || [ $? -eq 3 ]
 # shellcheck disable=SC2086

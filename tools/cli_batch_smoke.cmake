@@ -13,8 +13,8 @@ file(MAKE_DIRECTORY "${OUT_DIR}")
 
 # Two demo designs, each with mask + CSV output. Exit 3 (residual physical
 # conflicts) is a legal routing outcome for demo instances.
-set(JOB_A "--seed-demo 30 --width 100 --height 100 --threads 2")
-set(JOB_B "--seed-demo 24 --width 90 --height 90 --threads 2")
+set(JOB_A "--seed-demo 30 --width 100 --height 100")
+set(JOB_B "--seed-demo 24 --width 90 --height 90")
 
 foreach(job A B)
   separate_arguments(argv UNIX_COMMAND
@@ -104,11 +104,13 @@ message(STATUS "cli batch smoke OK (bad timing option values rejected)")
 
 # Removed options are usage errors that say why, not silently ignored
 # knobs: decomposition always runs over the whole window (the old
-# band-tiling options), and nets always route one at a time (the old
-# wave-parallel option).
+# band-tiling options), nets always route one at a time (the old
+# wave-parallel option), and a run always uses one thread (the old
+# per-layer worker count).
 foreach(case "--tile-words;2;decomposition always runs whole-window"
         "--schedule;dynamic;decomposition always runs whole-window"
-        "--route-jobs;4;nets always route sequentially")
+        "--route-jobs;4;nets always route sequentially"
+        "--threads;2;a run always uses one thread")
   list(GET case 0 flag)
   list(GET case 1 val)
   list(GET case 2 hint)

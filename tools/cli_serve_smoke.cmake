@@ -113,17 +113,14 @@ execute_process(
     client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"pin_candidates\":0}' \
       --expect-error bad_request > '${OUT_DIR}/range.json'
     grep -q 'pin_candidates must be an integer >= 1' '${OUT_DIR}/range.json'
-    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":0}' \
-      --expect-error bad_request > '${OUT_DIR}/range.json'
-    grep -q 'threads must be an integer >= 1' '${OUT_DIR}/range.json'
-    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":-2}' \
-      --expect-error bad_request > '${OUT_DIR}/range.json'
-    grep -q 'threads must be an integer >= 1' '${OUT_DIR}/range.json'
-    # The removed wave-parallel knob is an error with a hint, not a
-    # silently ignored field.
+    # The removed wave-parallel and thread-count knobs are errors with a
+    # hint, not silently ignored fields.
     client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"route_jobs\":4}' \
       --expect-error bad_request > '${OUT_DIR}/range.json'
     grep -q 'route_jobs was removed: nets always route sequentially' '${OUT_DIR}/range.json'
+    client req --json '{\"op\":\"load\",\"session\":\"rb\",\"nets\":5,\"width\":16,\"height\":16,\"threads\":2}' \
+      --expect-error bad_request > '${OUT_DIR}/range.json'
+    grep -q 'threads was removed: a run always uses one thread' '${OUT_DIR}/range.json'
     # timeout_ms:0 expires while queued -> deterministic timeout error.
     client req --json '{\"op\":\"route\",\"session\":\"s\",\"timeout_ms\":0}' --expect-error timeout
     # Session cap 2: third load is rejected.

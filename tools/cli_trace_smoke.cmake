@@ -1,5 +1,5 @@
-# ctest smoke check: sadp_route_cli --trace/--metrics/--threads produces a
-# Chrome trace and a metrics report that contain the expected sections.
+# ctest smoke check: sadp_route_cli --trace/--metrics produces a Chrome
+# trace and a metrics report that contain the expected sections.
 # Invoked as:
 #   cmake -DCLI=<path-to-sadp_route_cli> -DOUT_DIR=<scratch dir>
 #         -P cli_trace_smoke.cmake
@@ -12,7 +12,7 @@ set(TRACE_FILE "${OUT_DIR}/smoke_trace.json")
 set(METRICS_FILE "${OUT_DIR}/smoke_metrics.json")
 
 execute_process(
-  COMMAND "${CLI}" --seed-demo 40 --width 120 --height 120 --threads 2
+  COMMAND "${CLI}" --seed-demo 40 --width 120 --height 120
           --trace "${TRACE_FILE}" --metrics "${METRICS_FILE}"
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
@@ -21,9 +21,6 @@ execute_process(
 # outcome for the demo instance; anything else is a harness failure.
 if(NOT rc EQUAL 0 AND NOT rc EQUAL 3)
   message(FATAL_ERROR "cli exited ${rc}\nstdout:\n${out}\nstderr:\n${err}")
-endif()
-if(NOT out MATCHES "threads     2")
-  message(FATAL_ERROR "effective thread count missing from stdout:\n${out}")
 endif()
 
 foreach(pair "${TRACE_FILE};traceEvents" "${METRICS_FILE};counters")

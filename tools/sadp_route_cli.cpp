@@ -18,8 +18,6 @@
 //                       nets on the given grid instead
 //                       (grids above 2^24 nodes, width*height*layers, and
 //                       more than width*height/2 demo nets are rejected)
-//   --threads N         worker threads for parallel passes (overrides the
-//                       SADP_THREADS environment variable)
 //   --backend NAME      patterning backend: sadp2 (the default 2-color SADP
 //                       cut process) or tpl3 (triple patterning; emits 3
 //                       exposure planes per layer)
@@ -66,7 +64,6 @@
 #include "sadp/svg.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/parallel_for.hpp"
 #include "util/parse.hpp"
 
 using namespace sadp;
@@ -84,7 +81,6 @@ struct CliArgs {
   std::string traceFile;
   std::string metricsFile;
   int seedDemo = 0;
-  int threads = 0;
   RouterOptions router;
 };
 
@@ -93,7 +89,7 @@ struct CliArgs {
   std::cerr << "usage: sadp_route_cli --nets FILE --width N --height N\n"
                "       [--layers N] [--svg PREFIX] [--masks PREFIX]\n"
                "       [--csv FILE] [--no-flip] [--no-cut-check]\n"
-               "       [--no-repair] [--seed-demo N] [--threads N]\n"
+               "       [--no-repair] [--seed-demo N]\n"
                "       [--backend sadp2|tpl3] [--timing] [--negotiate]\n"
                "       [--negotiate-iters N] [--history-cost X]\n"
                "       [--trace FILE] [--metrics FILE]\n"
@@ -162,8 +158,7 @@ CliArgs parseTokens(const std::vector<std::string>& tokens,
     } else if (opt == "--seed-demo") {
       a.seedDemo = parseIntOpt("--seed-demo", value(i));
     } else if (opt == "--threads") {
-      a.threads = parseIntOpt("--threads", value(i));
-      if (a.threads <= 0) usage("--threads wants a positive count");
+      usage("--threads was removed: a run always uses one thread");
     } else if (opt == "--route-jobs") {
       usage("--route-jobs was removed: nets always route sequentially");
     } else if (opt == "--tile-words" || opt == "--schedule") {
@@ -242,7 +237,6 @@ RunOutput runOne(const CliArgs& args) {
   std::ostringstream os;
 
   RunContext ctx;
-  if (args.threads > 0) ctx.setThreadCount(args.threads);
   // Full event capture only when someone will read the trace; the metrics
   // report only needs per-name aggregates.
   if (!args.traceFile.empty()) {
@@ -278,7 +272,6 @@ RunOutput runOne(const CliArgs& args) {
   const OverlayReport report = router.physicalReport();
 
   os << "nets        " << stats.totalNets << "\n"
-     << "threads     " << ctx.threadCount() << "\n"
      << "routed      " << stats.routedNets << " ("
      << stats.routability() << "%)\n"
      << "wirelength  " << stats.wirelength << " tracks, "
@@ -311,10 +304,12 @@ RunOutput runOne(const CliArgs& args) {
     }
   }
   if (!args.csvFile.empty()) {
+    // The last fixed column is the thread count, always 1: a run executes
+    // on one thread. Kept so rows stay byte-identical to older builds.
     std::ostringstream row;
     row << stats.totalNets << ',' << stats.routability() << ','
         << report.sideOverlayNm << ',' << report.cutConflicts() << ','
-        << report.hardOverlays << ',' << ctx.threadCount();
+        << report.hardOverlays << ",1";
     // Timing columns only when the mode is on: default-mode rows (and
     // every consumer parsing them) stay byte-identical to older builds.
     if (stats.timingValid) {
@@ -337,7 +332,7 @@ RunOutput runOne(const CliArgs& args) {
          {"side_overlay_nm", std::to_string(report.sideOverlayNm)},
          {"cut_conflicts", std::to_string(report.cutConflicts())},
          {"hard_overlays", std::to_string(report.hardOverlays)},
-         {"threads", std::to_string(ctx.threadCount())}});
+         {"threads", "1"}});
     if (!mf) os << "cannot write " << args.metricsFile << "\n";
   }
   if (!args.traceFile.empty()) {
