@@ -34,7 +34,6 @@
 #include "sadp/decompose.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/arena.hpp"
 
 namespace sadp {
 namespace {
@@ -107,20 +106,6 @@ void BM_AStarRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_AStarRoute)->Arg(64)->Arg(256);
 
-/// Bump-allocation throughput with per-iteration scope rewind: the warm
-/// steady state every route()/colorFlip() call runs in.
-void BM_ArenaAlloc(benchmark::State& state) {
-  Arena arena;
-  for (auto _ : state) {
-    ArenaScope scope(arena);
-    for (int i = 0; i < 1024; ++i) {
-      benchmark::DoNotOptimize(arena.allocate(64, 8));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_ArenaAlloc);
-
 void BM_ColorFlipChain(benchmark::State& state) {
   const int n = int(state.range(0));
   for (auto _ : state) {
@@ -152,7 +137,7 @@ void BM_Flip3Color(benchmark::State& state) {
   c.type = ScenarioType::T1a;
   for (auto _ : state) {
     state.PauseTiming();
-    OverlayConstraintGraph g(std::pmr::get_default_resource(), &tpl.spec());
+    OverlayConstraintGraph g(&tpl.spec());
     for (int v = 1; v < n; ++v) {
       g.addScenario(v - 1, v, c);
       if (v >= 2) g.addScenario(v - 2, v, c);

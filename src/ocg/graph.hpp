@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -46,20 +45,11 @@ class OverlayConstraintGraph {
   /// cut-conflict checker provides the hard backstop; see DESIGN.md §5.6).
   static constexpr int kCutRiskPenalty = 50;
 
-  /// Edge and adjacency storage draws from `mem` (DESIGN.md §5.9): the
-  /// router passes its RunContext's graph arena so the per-net scenario
-  /// churn never touches the global allocator; standalone graphs default
-  /// to the ordinary heap. `spec` selects the patterning interpretation of
-  /// scenario edges (DESIGN.md §5.13); null means the classic 2-color
-  /// SADP-cut tables and leaves every code path byte-identical to the
-  /// pre-backend graph.
-  explicit OverlayConstraintGraph(
-      std::pmr::memory_resource* mem = std::pmr::get_default_resource(),
-      const PatterningSpec* spec = nullptr)
-      : edges_(mem),
-        adj_(mem),
-        spec_(spec),
-        k_(spec ? spec->colorCount : 2) {}
+  /// `spec` selects the patterning interpretation of scenario edges
+  /// (DESIGN.md §5.13); null means the classic 2-color SADP-cut tables and
+  /// leaves every code path byte-identical to the pre-backend graph.
+  explicit OverlayConstraintGraph(const PatterningSpec* spec = nullptr)
+      : spec_(spec), k_(spec ? spec->colorCount : 2) {}
 
   /// Number of assignable colors under the active patterning spec.
   int colorCount() const { return k_; }
@@ -134,7 +124,7 @@ class OverlayConstraintGraph {
 
   // -- Introspection for the color-flipping engine --------------------------
 
-  const std::pmr::vector<OcgEdge>& edges() const { return edges_; }
+  const std::vector<OcgEdge>& edges() const { return edges_; }
   /// Calls fn(edgeIndex) for every alive edge incident to a vertex.
   void forEachEdgeOf(std::uint32_t vertex,
                      const std::function<void(std::size_t)>& fn) const;
@@ -165,10 +155,8 @@ class OverlayConstraintGraph {
 
   std::vector<NetId> nets_;                       // vertex -> net
   std::unordered_map<NetId, std::uint32_t> idx_;  // net -> vertex
-  std::pmr::vector<OcgEdge> edges_;
-  /// vertex -> edge indices; inner vectors inherit the outer resource
-  /// through polymorphic_allocator's scoped-allocator propagation.
-  std::pmr::vector<std::pmr::vector<std::uint32_t>> adj_;
+  std::vector<OcgEdge> edges_;
+  std::vector<std::vector<std::uint32_t>> adj_;  // vertex -> edge indices
   /// Hard structure over Z_k deltas. For k == 2 both relations live here
   /// (rel 1 = must-differ); for k >= 3 only must-same edges do (delta 0 --
   /// "differ" is not a group relation) and must-differ edges are tracked in

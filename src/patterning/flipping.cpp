@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory_resource>
+#include <numeric>
 #include <span>
 #include <unordered_map>
 
 #include "ocg/overlay_model.hpp"
-#include "run/run_context.hpp"
-#include "util/arena.hpp"
 
 namespace sadp {
 
@@ -114,17 +112,11 @@ ReducedGraph reduceGraph(const OverlayConstraintGraph& g) {
 namespace {
 
 /// Plain union-find for component extraction / Kruskal: union by size with
-/// path halving, storage bump-allocated from the run's scratch arena (the
-/// caller's ArenaScope reclaims it).
+/// path halving.
 class Dsu {
  public:
-  Dsu(Arena& a, std::size_t n)
-      : parent_(a.allocArray<std::uint32_t>(n)),
-        size_(a.allocArray<std::uint32_t>(n)) {
-    for (std::size_t i = 0; i < n; ++i) {
-      parent_[i] = std::uint32_t(i);
-      size_[i] = 1;
-    }
+  explicit Dsu(std::size_t n) : parent_(n), size_(n, 1) {
+    std::iota(parent_.begin(), parent_.end(), std::uint32_t(0));
   }
   std::size_t find(std::size_t v) {
     while (parent_[v] != v) {
@@ -144,8 +136,8 @@ class Dsu {
   }
 
  private:
-  std::uint32_t* parent_;
-  std::uint32_t* size_;
+  std::vector<std::uint32_t> parent_;
+  std::vector<std::uint32_t> size_;
 };
 
 std::int64_t edgeCostUnder(const ReducedEdge& e, Color cu, Color cv) {
@@ -172,14 +164,14 @@ namespace {
 /// sorted class list). Tree adjacency keeps `treeEdges` order and the DFS
 /// pops children in reverse push order, so traversal and tie-breaks are a
 /// function of the component alone. Returns the colors by local index;
-/// every table, the result included, is O(component) and lives in `arena`.
-std::pmr::vector<Color> treeDp(const ReducedGraph& rg,
-                               std::span<const std::size_t> treeEdges,
-                               std::span<const std::uint32_t> classes,
-                               const std::uint32_t* localOf,
-                               std::uint32_t root, Arena& arena) {
+/// every table, the result included, is O(component).
+std::vector<Color> treeDp(const ReducedGraph& rg,
+                          std::span<const std::size_t> treeEdges,
+                          std::span<const std::uint32_t> classes,
+                          std::span<const std::uint32_t> localOf,
+                          std::uint32_t root) {
   const std::size_t n = classes.size();
-  std::pmr::vector<std::pmr::vector<std::size_t>> adj(n, &arena);
+  std::vector<std::vector<std::size_t>> adj(n);
   for (std::size_t ei : treeEdges) {
     adj[localOf[rg.edges[ei].u]].push_back(ei);
     adj[localOf[rg.edges[ei].v]].push_back(ei);
@@ -190,10 +182,10 @@ std::pmr::vector<Color> treeDp(const ReducedGraph& rg,
     std::uint32_t parent;
     std::size_t parentEdge;
   };
-  std::pmr::vector<Visit> order(&arena);
-  std::pmr::vector<Visit> stack(&arena);
+  std::vector<Visit> order;
+  std::vector<Visit> stack;
   stack.push_back({root, std::uint32_t(-1), 0});
-  std::pmr::vector<char> seen(n, 0, &arena);
+  std::vector<char> seen(n, 0);
   while (!stack.empty()) {
     Visit v = stack.back();
     stack.pop_back();
@@ -209,11 +201,11 @@ std::pmr::vector<Color> treeDp(const ReducedGraph& rg,
   }
   // Bottom-up DP, eq. (4): cost[node][c] = selfCost[node][c] + sum over
   // children of min_p (cost[child][p] + edgeCost(c, p)).
-  std::pmr::vector<std::array<std::int64_t, 2>> cost(n, &arena);
+  std::vector<std::array<std::int64_t, 2>> cost(n);
   for (std::size_t i = 0; i < n; ++i) cost[i] = rg.selfCost[classes[i]];
   // childBest[childNode][parentColor] = chosen child color
-  std::pmr::vector<std::array<Color, 2>> childBest(
-      n, {Color::Unassigned, Color::Unassigned}, &arena);
+  std::vector<std::array<Color, 2>> childBest(
+      n, {Color::Unassigned, Color::Unassigned});
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const Visit& v = *it;
     if (v.parent == std::uint32_t(-1)) continue;
@@ -236,7 +228,7 @@ std::pmr::vector<Color> treeDp(const ReducedGraph& rg,
     }
   }
   // Backtrace from the root.
-  std::pmr::vector<Color> out(n, Color::Unassigned, &arena);
+  std::vector<Color> out(n, Color::Unassigned);
   out[root] = Color(cost[root][0] <= cost[root][1] ? 0 : 1);
   for (const Visit& v : order) {
     if (v.parent == std::uint32_t(-1)) continue;
@@ -254,11 +246,8 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
   ReducedGraph rg = reduceGraph(g);
   if (rg.classCount() == 0) return stats;
 
-  Arena& arena = RunContext::current().scratchArena();
-  ArenaScope scope(arena);
-
   // Components over all reduced edges.
-  Dsu comp(arena, rg.classCount());
+  Dsu comp(rg.classCount());
   for (const ReducedEdge& e : rg.edges) comp.unite(e.u, e.v);
   std::unordered_map<std::size_t, std::vector<std::size_t>> edgesOfComp;
   for (std::size_t ei = 0; ei < rg.edges.size(); ++ei) {
@@ -268,7 +257,7 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
   // Component-local class index, so every per-component table below is
   // sized by the component, not the layer. Each class belongs to one
   // component, so entries are written once and never need resetting.
-  std::uint32_t* localOf = arena.allocArray<std::uint32_t>(rg.classCount());
+  std::vector<std::uint32_t> localOf(rg.classCount());
   std::vector<Color> newColors = rg.classColor;  // start from current
   for (auto& [root, compEdges] : edgesOfComp) {
     ++stats.components;
@@ -300,15 +289,12 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
     }
     stats.costBefore += before;
 
-    // Maximum spanning tree (Kruskal on descending weight). Per-component
-    // scratch opens a nested scope so the arena does not grow with the
-    // component count.
-    ArenaScope mstScope(arena);
+    // Maximum spanning tree (Kruskal on descending weight).
     std::vector<std::size_t> sorted = compEdges;
     std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
       return rg.edges[a].weight > rg.edges[b].weight;
     });
-    Dsu mst(arena, compClasses.size());
+    Dsu mst(compClasses.size());
     std::vector<std::size_t> treeEdges;
     for (std::size_t ei : sorted) {
       if (mst.unite(localOf[rg.edges[ei].u], localOf[rg.edges[ei].v])) {
@@ -316,8 +302,8 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
       }
     }
 
-    const std::pmr::vector<Color> dp =
-        treeDp(rg, treeEdges, compClasses, localOf, localOf[root], arena);
+    const std::vector<Color> dp =
+        treeDp(rg, treeEdges, compClasses, localOf, localOf[root]);
     // True component cost under the DP coloring (non-tree edges included).
     std::int64_t after = 0;
     for (std::size_t ei : compEdges) {

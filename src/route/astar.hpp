@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "grid/routing_grid.hpp"
-#include "util/arena.hpp"
 
 namespace sadp {
 
@@ -172,6 +171,27 @@ class AStarEngine {
 
  private:
   struct IntSearchSetup;  // resolved cost model (astar.cpp)
+  class BucketOpen;       // Dial bucket queue (astar.cpp)
+  class IntHeapOpen;      // integer heap, same pop order (astar.cpp)
+
+  /// BucketOpen entry: a node of its f bucket's intrusive LIFO list.
+  struct BucketEntry {
+    std::int64_t g;
+    std::uint32_t node;
+    std::uint32_t next;  ///< entry pushed before it into the same bucket
+  };
+  /// IntHeapOpen entry; `seq` is the push sequence that breaks f ties.
+  struct HeapEntry {
+    std::int64_t f;
+    std::int64_t g;
+    std::uint32_t node;
+    std::uint32_t seq;
+  };
+  /// A passable source node and its f.
+  struct Seed {
+    std::uint32_t idx;
+    std::int64_t f;
+  };
 
   /// kRecord selects the footprint-recording instantiation; the common
   /// non-recording one keeps the expansion loop free of the recordProbe
@@ -187,7 +207,6 @@ class AStarEngine {
                    const T2bField* t2b);
 
   const RoutingGrid* grid_;
-  Arena* scratch_;  ///< owning context's per-run scratch arena
   std::vector<std::int64_t> bestQ_;  ///< fixed-point g
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> stamp_;
@@ -196,6 +215,12 @@ class AStarEngine {
   std::int64_t pushCount_ = 0;  ///< open-list pushes of the current route()
   SearchFootprint* record_ = nullptr;    ///< active footprint recorder
   std::vector<std::uint32_t> recStamp_;  ///< dedup stamps (lazy, record only)
+  // Open-list and seed storage: every route() clears it and none of it is
+  // freed, so a warm engine allocates nothing per search.
+  std::vector<std::uint32_t> bucketHeads_;
+  std::vector<BucketEntry> bucketPool_;
+  std::vector<HeapEntry> heap_;
+  std::vector<Seed> seeds_;
   // Per-engine (hence per-run) metric handles; see ctor comment.
   Counter* routesCounter_;
   Counter* expansionsCounter_;

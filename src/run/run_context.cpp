@@ -28,8 +28,6 @@ RunContext::~RunContext() {
 void RunContext::resetForRun() {
   metrics_->reset();
   trace_->clear();
-  scratchArena_.reset();
-  graphArena_.reset();
 }
 
 RunContext& RunContext::defaultContext() {

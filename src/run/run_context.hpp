@@ -6,8 +6,7 @@
 //   - a MetricsRegistry   (counters/histograms; fresh per run, so two
 //                          sequential runs never double-count and two
 //                          concurrent runs never cross-talk),
-//   - a TraceSink         (trace level, span aggregates, event buffers),
-//   - two bump arenas     (scratch and run-lifetime allocations).
+//   - a TraceSink         (trace level, span aggregates, event buffers).
 //
 // Every pipeline layer takes the context explicitly (router, A*, mask
 // decomposition, baselines, eval). Code that predates the context --
@@ -28,7 +27,6 @@
 
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "util/arena.hpp"
 
 namespace sadp {
 
@@ -62,23 +60,11 @@ class RunContext {
     patterningBackend_ = std::move(name);
   }
 
-  /// Per-run bump arenas (DESIGN.md §5.9). Both are touched only by the
-  /// run's driving thread -- the router / A* / coloring path.
-  /// `scratchArena` is rewound by ArenaScope at the end of every
-  /// route()/colorFlip() call, so a warm run allocates nothing from the
-  /// global allocator; `graphArena` backs
-  /// allocations whose lifetime is the run itself (OCG edge/adjacency
-  /// storage) and is reclaimed when the context dies.
-  Arena& scratchArena() { return scratchArena_; }
-  Arena& graphArena() { return graphArena_; }
-
   /// Restores the context to a fresh-run state: zeroes every counter and
-  /// histogram, drops trace aggregates/events, and reclaims both arenas.
-  /// Only valid between runs -- no work may be in flight under this
-  /// context, no ArenaScope open, and nothing allocated from graphArena
-  /// may still be referenced (a long-lived service session calls this
-  /// before each replay so per-request metrics start at zero and the
-  /// previous replay's OCG storage is reclaimed instead of accreting).
+  /// histogram and drops trace aggregates/events. Only valid between runs
+  /// -- no work may be in flight under this context (a long-lived service
+  /// session calls this before each replay so per-request metrics start at
+  /// zero).
   void resetForRun();
 
   /// The process-default context: wraps MetricsRegistry::instance() and
@@ -111,8 +97,6 @@ class RunContext {
   MetricsRegistry* metrics_;  ///< owned unless this is the default context
   TraceSink* trace_;          ///< owned unless this is the default context
   bool ownsRegistries_;
-  Arena scratchArena_;  ///< rewound per search/flip; see scratchArena()
-  Arena graphArena_;    ///< run-lifetime allocations; see graphArena()
   std::string patterningBackend_;  ///< empty = sadp2; see accessor above
 };
 

@@ -166,8 +166,8 @@ std::optional<RouteOutcome> Session::applyEdit(const EditRequest& e,
 RouteOutcome Session::runOnce(int netsDirty, const Rect& dirtyTr,
                               bool incremental) {
   const auto t0 = std::chrono::steady_clock::now();
-  // Safe between runs: the previous router (and its OCG graph-arena
-  // allocations) died at the end of the previous runOnce.
+  // Safe between runs: the previous router died at the end of the
+  // previous runOnce.
   ctx_.resetForRun();
   RunContext::Scope bind(ctx_);
 
@@ -218,8 +218,8 @@ RouteOutcome Session::runOnce(int netsDirty, const Rect& dirtyTr,
       out.stats = router.run();
     }
     out.verifySkips = router.verifySkips();
-    // Sign-off: per-layer decomposition in layer order (the parallel
-    // physicalReport reduces in the same order; totals are identical).
+    // Sign-off: per-layer decomposition summed in layer order, as
+    // physicalReport sums it, so the totals are identical.
     {
       SADP_SPAN("session.decompose");
       if (fpMemo_.size() > 64) fpMemo_.clear();

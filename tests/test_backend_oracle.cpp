@@ -226,8 +226,7 @@ ScenarioType tplType(std::uint32_t r) {
 
 OverlayConstraintGraph makeTplGraph(std::mt19937& rng, std::size_t n,
                                     int edges) {
-  OverlayConstraintGraph g(std::pmr::get_default_resource(),
-                           &tpl3Backend().spec());
+  OverlayConstraintGraph g(&tpl3Backend().spec());
   for (int e = 0; e < edges; ++e) {
     const NetId a = NetId(rng() % n);
     const NetId b = NetId(rng() % n);
@@ -255,8 +254,7 @@ TEST(Tpl3Oracle, RecolorReachesBruteForceMinimum) {
 // K4 of must-differ edges is not 3-colorable: the exhaustive pass must
 // still find the true minimum (exactly one unavoidable hard pair).
 TEST(Tpl3Oracle, InfeasibleCliqueReachesTrueMinimum) {
-  OverlayConstraintGraph g(std::pmr::get_default_resource(),
-                           &tpl3Backend().spec());
+  OverlayConstraintGraph g(&tpl3Backend().spec());
   for (NetId a = 0; a < 4; ++a) {
     for (NetId b = a + 1; b < 4; ++b) {
       g.addScenario(a, b, ofType(ScenarioType::T1a));
@@ -277,8 +275,7 @@ TEST(Tpl3Oracle, OddMustDifferCycleIsThreeColorable) {
   g2.addScenario(2, 0, ofType(ScenarioType::T1a));
   EXPECT_TRUE(g2.hasHardViolation());
 
-  OverlayConstraintGraph g3(std::pmr::get_default_resource(),
-                            &tpl3Backend().spec());
+  OverlayConstraintGraph g3(&tpl3Backend().spec());
   g3.addScenario(0, 1, ofType(ScenarioType::T1a));
   g3.addScenario(1, 2, ofType(ScenarioType::T1a));
   g3.addScenario(2, 0, ofType(ScenarioType::T1a));
@@ -294,8 +291,7 @@ TEST(Tpl3Oracle, OddMustDifferCycleIsThreeColorable) {
 // The square of a path (edges i..i+1 and i..i+2, all must-differ) is
 // 3-chromatic, and the deterministic local search must fully resolve it.
 TEST(Tpl3Oracle, GreedyPathResolvesTriangleChain) {
-  OverlayConstraintGraph g(std::pmr::get_default_resource(),
-                           &tpl3Backend().spec());
+  OverlayConstraintGraph g(&tpl3Backend().spec());
   const int n = 30;
   for (int i = 0; i + 1 < n; ++i) {
     g.addScenario(NetId(i), NetId(i + 1), ofType(ScenarioType::T1a));

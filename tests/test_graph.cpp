@@ -286,7 +286,7 @@ struct RemovalCoverage {
 void fuzzRemovals(const PatterningSpec* spec, std::uint32_t seed, int nets,
                   int ops, RemovalCoverage& cov) {
   std::mt19937 rng(seed);
-  OverlayConstraintGraph g(std::pmr::get_default_resource(), spec);
+  OverlayConstraintGraph g(spec);
   const int k = g.colorCount();
   const ScenarioType types[] = {ScenarioType::T1a, ScenarioType::T1b,
                                 ScenarioType::T2a, ScenarioType::T3a};
