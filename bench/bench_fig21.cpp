@@ -46,7 +46,7 @@ int main() {
   // Pane (a): our flow -- register the layout in the constraint graph and
   // let the color-flipping DP find the optimal assignment (the odd cycle
   // decomposes by merging the same-colored pair and cutting it apart).
-  OverlayModel model(1, 16, 16);
+  OverlayModel model(1);
   std::vector<Fragment> frags = oddCycleLayout();
   for (const Fragment& f : frags) {
     std::vector<GridNode> cells;

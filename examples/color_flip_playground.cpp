@@ -26,7 +26,7 @@ void printColors(const OverlayModel& m, std::initializer_list<NetId> nets) {
 }  // namespace
 
 int main() {
-  OverlayModel model(1, 40, 40);
+  OverlayModel model(1);
 
   // A and B routed first: B lands one track from A, forcing opposite
   // colors (type 1-a). Pseudo-coloring assigns A=Core, B=Second.

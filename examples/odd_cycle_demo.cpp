@@ -52,7 +52,7 @@ int main() {
             << "\n";
 
   // --- Cut-process view: the scenario classifier + color flipping ---------
-  OverlayModel model(1, 16, 16);
+  OverlayModel model(1);
   for (const Fragment& f : layout) {
     const AddNetResult r = model.addNet(f.net, cells(f));
     if (r.hardViolation) {

@@ -106,7 +106,7 @@ BaselineResult runDuGraphModel(RoutingGrid& grid, const Netlist& netlist,
                                double timeoutSeconds, RunContext& ctx) {
   const auto t0 = Clock::now();
   BaselineResult result;
-  OverlayModel model(grid.layers(), grid.width(), grid.height());
+  OverlayModel model(grid.layers());
   AStarEngine engine(grid, &ctx);
   AStarParams params;  // alpha = beta = 1, no overlay guidance
 

@@ -176,9 +176,9 @@ class OverlayAwareRouter {
   /// Post-routing violation repair (extends the Type-B removal of §III-D):
   /// locates residual cut conflicts and hard overlays on the full-chip
   /// masks, first flipping involved nets' colors, then escalating to a
-  /// targeted rip-up & re-route of an involved net. Returns the number of
-  /// remaining violations (conflicts + hard overlays).
-  int repairViolations(int maxPasses = 3);
+  /// targeted rip-up & re-route of an involved net. physicalReport()
+  /// counts what remains.
+  void repairViolations(int maxPasses = 3);
 
  private:
   bool routeNet(const Net& net, bool freshPenaltyField = true);

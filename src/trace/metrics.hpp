@@ -91,8 +91,6 @@ class MetricsRegistry {
   /// registry can be reused across sequential runs without totals
   /// accumulating for the process lifetime.
   void reset();
-  /// Backwards-compatible alias of reset().
-  void resetAll() { reset(); }
 
  private:
   struct Impl;

@@ -12,6 +12,7 @@
 // search never reads the cost of a cell it cannot enter.
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -124,6 +125,34 @@ Scenario makeScenario(std::mt19937& rng) {
   return s;
 }
 
+/// One search of net 1 on `engine` (sources and targets swapped when
+/// `swapped`), with the metric counters `ctx` holds afterwards.
+RouteOutcome searchOnce(AStarEngine& engine, RunContext& ctx,
+                        const Scenario& s, bool swapped,
+                        const PenaltyField* extra) {
+  const auto& src = swapped ? s.targets : s.sources;
+  const auto& tgt = swapped ? s.sources : s.targets;
+  auto res = engine.route(1, src, tgt, s.params, extra,
+                          s.useT2b ? &s.t2b : nullptr);
+  RouteOutcome o;
+  o.routed = res.has_value();
+  if (res) {
+    o.path = res->path;
+    o.cost = res->cost;
+    o.vias = res->vias;
+    o.expansions = res->expansions;
+  }
+  o.ctrRoutes = ctx.metrics().counter("astar.routes").value();
+  o.ctrExpansions = ctx.metrics().counter("astar.expansions").value();
+  o.ctrPushes = ctx.metrics().counter("astar.heap_pushes").value();
+  o.ctrHeapRoutes = ctx.metrics().counter("astar.heap_routes").value();
+  for (const GridNode& n : src) {
+    const NetId owner = s.grid.owner(n);
+    o.seeded = o.seeded || owner == kInvalidNet || owner == 1;
+  }
+  return o;
+}
+
 /// Runs the scenario's route sequence with a fresh RunContext, snapshotting
 /// results and metric counters. `extra` stands in for the scenario's own
 /// penalty field when given.
@@ -133,32 +162,12 @@ std::vector<RouteOutcome> runScenario(const Scenario& s,
   RunContext::Scope scope(ctx);
   AStarEngine engine(s.grid, &ctx);
   if (extra == nullptr && s.useExtra) extra = &s.extra;
-  const T2bField* t2b = s.useT2b ? &s.t2b : nullptr;
 
   std::vector<RouteOutcome> out;
   // Route twice (warm engine, reused epoch-stamped arrays), then once
   // with sources/targets swapped for a different search shape.
   for (int pass = 0; pass < 3; ++pass) {
-    const auto& src = pass == 2 ? s.targets : s.sources;
-    const auto& tgt = pass == 2 ? s.sources : s.targets;
-    auto res = engine.route(1, src, tgt, s.params, extra, t2b);
-    RouteOutcome o;
-    o.routed = res.has_value();
-    if (res) {
-      o.path = res->path;
-      o.cost = res->cost;
-      o.vias = res->vias;
-      o.expansions = res->expansions;
-    }
-    o.ctrRoutes = ctx.metrics().counter("astar.routes").value();
-    o.ctrExpansions = ctx.metrics().counter("astar.expansions").value();
-    o.ctrPushes = ctx.metrics().counter("astar.heap_pushes").value();
-    o.ctrHeapRoutes = ctx.metrics().counter("astar.heap_routes").value();
-    for (const GridNode& n : src) {
-      const NetId owner = s.grid.owner(n);
-      o.seeded = o.seeded || owner == kInvalidNet || owner == 1;
-    }
-    out.push_back(std::move(o));
+    out.push_back(searchOnce(engine, ctx, s, pass == 2, extra));
   }
   return out;
 }
@@ -257,6 +266,66 @@ TEST(AStarEquiv, NegativePenaltiesFallBackAndStillAgree) {
     for (std::size_t i = 0; i < negative.size(); ++i) {
       EXPECT_TRUE(negative[i] == widened[i]) << "iter " << iter;
     }
+  }
+}
+
+TEST(AStarEquiv, ReusedEngineMatchesFreshEngines) {
+  // One warm engine runs bucket searches whose field peaks need different
+  // bucket counts, interleaved with heap searches forced by the trigger
+  // field. Each search must equal a fresh engine's on the same inputs,
+  // counter deltas included: no bucket head, pool entry, heap entry or
+  // seed of an earlier search may leak into a later one.
+  std::mt19937 rng(2014);
+  for (int iter = 0; iter < 60; ++iter) {
+    Scenario s = makeScenario(rng);
+    const PenaltyField trigger = heapTriggerField(s);
+    std::uniform_int_distribution<int> x(0, s.grid.width() - 1);
+    std::uniform_int_distribution<int> y(0, s.grid.height() - 1);
+    PenaltyField mid(s.grid);
+    PenaltyField wide(s.grid);
+    mid.add({Track(x(rng)), Track(y(rng)), 0}, 40.0f);
+    wide.add({Track(x(rng)), Track(y(rng)), 0}, 3000.0f);
+    struct Search {
+      const PenaltyField* extra;
+      bool swapped;
+    };
+    const Search plan[] = {
+        {&wide, false},    {&trigger, false}, {nullptr, false},
+        {&mid, true},      {&trigger, true},  {&wide, true},
+        {nullptr, true},   {&trigger, false}, {&mid, false},
+    };
+
+    RunContext warmCtx;
+    RunContext::Scope scope(warmCtx);
+    AStarEngine warm(s.grid, &warmCtx);
+    RouteOutcome prev;
+    std::int64_t heapSearches = 0;
+    for (std::size_t i = 0; i < std::size(plan); ++i) {
+      RouteOutcome got =
+          searchOnce(warm, warmCtx, s, plan[i].swapped, plan[i].extra);
+      const RouteOutcome total = got;
+      got.ctrRoutes -= prev.ctrRoutes;
+      got.ctrExpansions -= prev.ctrExpansions;
+      got.ctrPushes -= prev.ctrPushes;
+      got.ctrHeapRoutes -= prev.ctrHeapRoutes;
+      prev = total;
+
+      RunContext freshCtx;
+      RunContext::Scope freshScope(freshCtx);
+      AStarEngine fresh(s.grid, &freshCtx);
+      const RouteOutcome want =
+          searchOnce(fresh, freshCtx, s, plan[i].swapped, plan[i].extra);
+      EXPECT_TRUE(got == want)
+          << "iter " << iter << " search " << i << ": warm(cost=" << got.cost
+          << ", exp=" << got.expansions << ", pushes=" << got.ctrPushes
+          << ") vs fresh(cost=" << want.cost << ", exp=" << want.expansions
+          << ", pushes=" << want.ctrPushes << ")";
+      EXPECT_EQ(got.ctrHeapRoutes, want.ctrHeapRoutes)
+          << "iter " << iter << " search " << i;
+      if (plan[i].extra == &trigger && want.seeded) ++heapSearches;
+    }
+    // Only the trigger searches ran on the heap.
+    EXPECT_EQ(prev.ctrHeapRoutes, heapSearches) << "iter " << iter;
   }
 }
 

@@ -41,7 +41,7 @@ TEST(OverlayModel, FragmentsFilterByLayer) {
 }
 
 TEST(OverlayModel, AdjacentWiresCreateT1aEdge) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   m.addNet(1, hPath(0, 10, 5));
   const AddNetResult r = m.addNet(2, hPath(0, 10, 6));
   EXPECT_FALSE(r.hardViolation);  // two nets: 2-colorable
@@ -52,7 +52,7 @@ TEST(OverlayModel, AdjacentWiresCreateT1aEdge) {
 }
 
 TEST(OverlayModel, OddCycleOfHardEdgesFlagsViolation) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   // Three mutually 1-track-adjacent long wires: rows 5, 6, 7. Net1-net2 and
   // net2-net3 are adjacent pairs; net1-net3 is at distance 2 (type 2-a,
   // nonhard). For a TRUE hard odd cycle use hard-same (1-b) to close it.
@@ -64,7 +64,7 @@ TEST(OverlayModel, OddCycleOfHardEdgesFlagsViolation) {
 }
 
 TEST(OverlayModel, PerLayerGraphsIndependent) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   m.addNet(1, hPath(0, 10, 5, 0));
   m.addNet(2, hPath(0, 10, 6, 1));
   EXPECT_EQ(m.graph(0).vertexCount(), 1u);
@@ -74,7 +74,7 @@ TEST(OverlayModel, PerLayerGraphsIndependent) {
 }
 
 TEST(OverlayModel, RemoveNetRetractsEverything) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   m.addNet(1, hPath(0, 10, 5));
   m.addNet(2, hPath(0, 10, 6));
   EXPECT_EQ(m.graph(0).edges().size(), 1u);
@@ -91,7 +91,7 @@ TEST(OverlayModel, RemoveNetRetractsEverything) {
 }
 
 TEST(OverlayModel, Type2bCountReported) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   m.addNet(1, hPath(0, 10, 8));  // horizontal wire on row 8
   // Vertical wire whose tip stops 2 tracks below the horizontal one
   // (occupies rows 0..6, so the track gap to row 8 is 2).
@@ -102,7 +102,7 @@ TEST(OverlayModel, Type2bCountReported) {
 }
 
 TEST(OverlayModel, PseudoColorAvoidsOverlay) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   m.addNet(1, hPath(0, 10, 5));
   m.pseudoColor(1);
   m.addNet(2, hPath(0, 10, 6));
@@ -113,7 +113,7 @@ TEST(OverlayModel, PseudoColorAvoidsOverlay) {
 }
 
 TEST(OverlayModel, OverlayUnitsOfNet) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   // Diagonal 3-a pair: same colors induce one unit on each side.
   m.addNet(1, hPath(0, 5, 5));
   m.addNet(2, hPath(5, 10, 6));
@@ -126,7 +126,7 @@ TEST(OverlayModel, OverlayUnitsOfNet) {
 }
 
 TEST(OverlayModel, FragmentsInWindow) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   m.addNet(1, hPath(0, 10, 5));
   m.addNet(2, hPath(20, 30, 20));
   const auto near = m.fragmentsInWindow(0, Rect{0, 0, 15, 15});
@@ -137,7 +137,7 @@ TEST(OverlayModel, FragmentsInWindow) {
 }
 
 TEST(OverlayModel, MultiLayerNetColorsIndependently) {
-  OverlayModel m(3, 50, 50);
+  OverlayModel m(3);
   std::vector<GridNode> p = hPath(0, 10, 5, 0);
   auto l1 = hPath(0, 10, 5, 1);
   p.insert(p.end(), l1.begin(), l1.end());

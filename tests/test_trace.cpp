@@ -174,7 +174,7 @@ std::vector<ColoredFragment> tileTestFragments() {
 
 /// Counter snapshot plus window word count after one decomposeLayer run.
 std::pair<std::vector<CounterSample>, int> decomposeSnapshot(int tileWords) {
-  MetricsRegistry::instance().resetAll();
+  MetricsRegistry::instance().reset();
   DecomposeOptions opts;
   opts.tileWords = tileWords;
   const std::vector<ColoredFragment> frags = tileTestFragments();
