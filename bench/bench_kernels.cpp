@@ -297,6 +297,16 @@ void BM_PhysicalReport(benchmark::State& state) {
 }
 BENCHMARK(BM_PhysicalReport);
 
+/// maskFingerprint of one routed whole layer: what the mask cache pays to
+/// store a sign-off summary. Most plane words are all-zero or all-one.
+void BM_MaskFingerprint(benchmark::State& state) {
+  const LayerDecomposition d = routedInstance().decompose(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(maskFingerprint(d));
+  }
+}
+BENCHMARK(BM_MaskFingerprint);
+
 // ---- JSON result collection ------------------------------------------------
 
 /// The "model name" line of /proc/cpuinfo, or "unknown" where there is

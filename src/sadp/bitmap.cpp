@@ -1,6 +1,7 @@
 #include "sadp/bitmap.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -315,17 +316,49 @@ bool anyNear(const Bitmap& b, int x, int y, int r) {
   return b.anyInRect(x - r, y - r, x + r + 1, y + r + 1);
 }
 
+namespace {
+
+/// Eight FNV-1a steps, one per byte of `v`, low byte first.
+constexpr std::uint64_t fnvWord(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;  // FNV prime
+  }
+  return h;
+}
+
+/// fnvWord(h, 0) == h * kPrime8: xor with a zero byte is a no-op.
+constexpr std::uint64_t kPrime8 = fnvWord(1, 0);
+
+/// fnvWord(h, ~0) == h * kPrime8 + kOnesTail[h & 0xff]. Xor with 0xff
+/// adds 0xff - 2 * (h & 0xff), and the low byte of each product depends
+/// only on the low byte before it, so every step adds a term fixed by the
+/// starting low byte.
+constexpr std::array<std::uint64_t, 256> kOnesTail = [] {
+  std::array<std::uint64_t, 256> t{};
+  for (std::uint64_t lo = 0; lo < 256; ++lo) {
+    t[lo] = fnvWord(lo, ~std::uint64_t(0)) - lo * kPrime8;
+  }
+  return t;
+}();
+
+}  // namespace
+
 std::uint64_t fingerprint(const Bitmap& b) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;  // FNV prime
+  std::uint64_t h = fnvWord(1469598103934665603ull,  // FNV offset basis
+                            std::uint64_t(std::uint32_t(b.width())) << 32 |
+                                std::uint32_t(b.height()));
+  // Mask planes are mostly empty or solid words; those fold in one
+  // multiply instead of eight dependent ones, to the same value.
+  for (const std::uint64_t w : b.words()) {
+    if (w == 0) {
+      h *= kPrime8;
+    } else if (w == ~std::uint64_t(0)) {
+      h = h * kPrime8 + kOnesTail[h & 0xff];
+    } else {
+      h = fnvWord(h, w);
     }
-  };
-  mix(std::uint64_t(std::uint32_t(b.width())) << 32 |
-      std::uint32_t(b.height()));
-  for (const std::uint64_t w : b.words()) mix(w);
+  }
   return h;
 }
 

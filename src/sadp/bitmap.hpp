@@ -128,9 +128,10 @@ bool cpuSupportsAvx2();
 /// True if any pixel of `b` within Chebyshev distance `r` of (x, y) is set.
 bool anyNear(const Bitmap& b, int x, int y, int r);
 
-/// Order-sensitive 64-bit FNV-1a over dimensions and packed words. Two
-/// bitmaps compare equal iff their fingerprints match (up to hash
-/// collisions); used by the golden regression fixtures.
+/// Order-sensitive 64-bit FNV-1a over dimensions and packed words (bytes
+/// low first). Two bitmaps compare equal iff their fingerprints match (up
+/// to hash collisions); used by the golden regression fixtures. All-zero
+/// and all-one words fold in one multiply to the bytewise value.
 std::uint64_t fingerprint(const Bitmap& b);
 
 /// Replaces `runs` with the [x0,x1) spans of set pixels in row y.

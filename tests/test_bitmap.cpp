@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <random>
@@ -551,6 +552,57 @@ TEST(BitmapFingerprint, TracksEquality) {
   // Dimensions are hashed too: same words, different shape.
   EXPECT_NE(fingerprint(Bitmap(64, 2)), fingerprint(Bitmap(128, 1)));
   EXPECT_NE(fingerprint(Bitmap(1, 1)), fingerprint(Bitmap(1, 2)));
+}
+
+/// The plain FNV-1a fold fingerprint() must reproduce: every byte of the
+/// dimension word and of each packed word, low byte first.
+std::uint64_t bytewiseFingerprint(const Bitmap& b) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto fold = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  fold(std::uint64_t(std::uint32_t(b.width())) << 32 |
+       std::uint32_t(b.height()));
+  for (const std::uint64_t w : b.words()) fold(w);
+  return h;
+}
+
+TEST(BitmapFingerprint, ConstantWordShortcutMatchesBytewiseFold) {
+  std::mt19937 rng(24680);
+  std::uniform_int_distribution<int> width(1, 700), height(1, 24);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int w = width(rng), h = height(rng);
+    // Random noise under long solid and empty runs: rows of all-zero and
+    // all-one words in every mix, including the zero-padded row tails.
+    Bitmap b = randomBitmap(w, h, trial % 3 == 0 ? 0.5 : 0.03, rng);
+    std::uniform_int_distribution<int> x(0, w), y(0, h);
+    for (int r = 0; r < 4; ++r) {
+      const int x0 = x(rng), x1 = x(rng), y0 = y(rng), y1 = y(rng);
+      b.fillRect(std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
+                 std::max(y0, y1), /*v=*/r % 2 == 0);
+    }
+    ASSERT_EQ(fingerprint(b), bytewiseFingerprint(b))
+        << "w=" << w << " h=" << h << " trial=" << trial;
+  }
+  // Every low byte reaching an all-one word: a one-row bitmap whose first
+  // word takes each of the 256 byte values ahead of solid words.
+  for (int v = 0; v < 256; ++v) {
+    Bitmap b(64 * 4, 1);
+    for (int bit = 0; bit < 8; ++bit) {
+      if ((v >> bit) & 1) b.set(bit, 0, true);
+    }
+    b.fillRect(64, 0, 64 * 4, 1);
+    ASSERT_EQ(fingerprint(b), bytewiseFingerprint(b)) << "v=" << v;
+  }
+  for (const int w : kWidths) {
+    Bitmap full(w, 5);
+    full.fillRect(0, 0, w, 5);
+    EXPECT_EQ(fingerprint(full), bytewiseFingerprint(full));
+    EXPECT_EQ(fingerprint(Bitmap(w, 5)), bytewiseFingerprint(Bitmap(w, 5)));
+  }
 }
 
 TEST(BitmapProperty, RowRunsMatchByteScan) {
