@@ -39,12 +39,11 @@ class Sadp2Backend final : public PatterningBackend {
   LayerDecomposition synthesize(std::span<const ColoredFragment> frags,
                                 const DesignRules& rules,
                                 const DecomposeOptions& opts) const override {
-    // The dispatch in decomposeLayerShared never reaches here (synthId ==
+    // The decompose dispatch never reaches here (synthId ==
     // kSadpCutSynthId routes to the built-in pipeline), but direct callers
-    // get the same result; clear synth/cache to avoid re-dispatch.
+    // get the same result; clear synth to avoid re-dispatch.
     DecomposeOptions o = opts;
     o.synth = nullptr;
-    o.cache = nullptr;
     return decomposeLayer(frags, rules, o);
   }
 };

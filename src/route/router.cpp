@@ -359,7 +359,7 @@ int OverlayAwareRouter::resolveCutConflicts(const Net& net) {
                            f.yhi * pitch}
                           .inflated(2 * pitch));
     }
-    auto nearOwn = [&](const LayerDecomposition& d) {
+    auto nearOwn = [&](const LayerSummary& d) {
       int n = 0;
       for (const Rect& box : d.conflictBoxesNm) {
         for (const Rect& o : ownNm) {
@@ -767,7 +767,7 @@ void OverlayAwareRouter::repairViolations(int maxPasses) {
     for (int layer = 0; layer < grid_->layers(); ++layer) {
       // Decomposed when the loop reaches it, so the boxes see every repair
       // already made on earlier layers (a reroute can move any layer).
-      std::shared_ptr<const LayerDecomposition> full;
+      std::shared_ptr<const LayerSummary> full;
       {
         SADP_SPAN_ARG("repair.decompose_layer", layer);
         full = decomposeShared(layer);
@@ -967,18 +967,18 @@ LayerDecomposition OverlayAwareRouter::decompose(
     int layer, const DecomposeOptions& opts) const {
   DecomposeOptions o = opts;
   if (o.ctx == nullptr) o.ctx = ctx_;
-  if (o.cache == nullptr) o.cache = opts_.maskCache;
   if (o.synth == nullptr) o.synth = backend_;
   return decomposeLayer(coloredFragments(layer), grid_->rules(), o);
 }
 
-std::shared_ptr<const LayerDecomposition> OverlayAwareRouter::decomposeShared(
+std::shared_ptr<const LayerSummary> OverlayAwareRouter::decomposeShared(
     int layer, const DecomposeOptions& opts) const {
   DecomposeOptions o = opts;
   if (o.ctx == nullptr) o.ctx = ctx_;
   if (o.cache == nullptr) o.cache = opts_.maskCache;
   if (o.synth == nullptr) o.synth = backend_;
-  return decomposeLayerShared(coloredFragments(layer), grid_->rules(), o);
+  return decomposeLayerShared(coloredFragments(layer), grid_->rules(), o,
+                              LayerRequest::WholeLayer);
 }
 
 OverlayReport OverlayAwareRouter::physicalReport(

@@ -86,7 +86,7 @@ struct RouterOptions {
   /// noted as changed the first time that net's replay diverges. Empty
   /// rects for nets without history (e.g. freshly added).
   std::vector<Rect> prevNetBoxes;
-  /// Shared decomposition cache applied to every decomposeLayer the router
+  /// Shared summary cache applied to every decomposeLayerShared the router
   /// issues (cut-conflict windows, repair probes, sign-off). Null = off.
   MaskCache* maskCache = nullptr;
   /// Patterning backend (DESIGN.md §5.13): the coloring interpretation,
@@ -164,11 +164,13 @@ class OverlayAwareRouter {
   /// Colored fragments of one layer for mask synthesis / reporting.
   std::vector<ColoredFragment> coloredFragments(int layer) const;
 
-  /// Full-chip decomposition of one layer (sign-off measurement).
+  /// Full-chip decomposition of one layer with its mask planes (mask
+  /// output, SVG). Always computes; the mask cache holds no planes.
   LayerDecomposition decompose(int layer,
                                const DecomposeOptions& opts = {}) const;
-  /// Copy-free variant: cache hits hand back the resident plane.
-  std::shared_ptr<const LayerDecomposition> decomposeShared(
+  /// Plane-free summary of the same decomposition, through the mask cache
+  /// as a whole-layer request: with a cache it carries the maskFingerprint.
+  std::shared_ptr<const LayerSummary> decomposeShared(
       int layer, const DecomposeOptions& opts = {}) const;
   /// Aggregate physical report over all layers.
   OverlayReport physicalReport(const DecomposeOptions& opts = {}) const;
@@ -240,8 +242,8 @@ class OverlayAwareRouter {
   /// tracks the exact event sequence (SearchMemoKey::penaltyHistory).
   void addRipUpPenalty(const GridNode& n, float delta);
   void clearRipUpField();
-  /// DecomposeOptions for router-internal decomposeLayer calls: binds
-  /// ctx_ and the shared mask cache.
+  /// DecomposeOptions for router-internal decomposeLayerShared calls:
+  /// binds ctx_ and the shared mask cache.
   DecomposeOptions internalDecomposeOpts() const;
   /// Rips up a routed net and re-routes it away from `avoidTr` (track box
   /// on `layer`); restores the old route if no better one is found.

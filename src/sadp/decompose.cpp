@@ -435,46 +435,45 @@ static LayerDecomposition decomposeLayerUncached(
   return out;
 }
 
-namespace {
-
-/// Uncached entry point with backend dispatch: a non-SADP synthesizer owns
-/// the whole layer synthesis; null (or the SADP backend itself) takes the
-/// built-in cut-process pipeline above, byte for byte.
-LayerDecomposition synthesizeUncached(std::span<const ColoredFragment> frags,
-                                      const DesignRules& rules,
-                                      const DecomposeOptions& opts) {
+LayerDecomposition decomposeLayer(std::span<const ColoredFragment> frags,
+                                  const DesignRules& rules,
+                                  const DecomposeOptions& opts) {
+  // Backend dispatch: a non-SADP synthesizer owns the whole layer
+  // synthesis; null (or the SADP backend itself) takes the built-in
+  // cut-process pipeline above, byte for byte.
   if (opts.synth != nullptr && opts.synth->synthId() != kSadpCutSynthId) {
     return opts.synth->synthesize(frags, rules, opts);
   }
   return decomposeLayerUncached(frags, rules, opts);
 }
 
-}  // namespace
-
-std::shared_ptr<const LayerDecomposition> decomposeLayerShared(
+std::shared_ptr<const LayerSummary> decomposeLayerShared(
     std::span<const ColoredFragment> frags, const DesignRules& rules,
-    const DecomposeOptions& opts) {
+    const DecomposeOptions& opts, LayerRequest request) {
+  // The planes die here; the summary keeps what every reader reads.
+  auto summarize = [](LayerDecomposition d, bool withFp) {
+    LayerSummary s;
+    if (withFp) s.maskFp = maskFingerprint(d);
+    s.report = d.report;
+    s.conflictBoxesNm = std::move(d.conflictBoxesNm);
+    s.hardOverlayBoxesNm = std::move(d.hardOverlayBoxesNm);
+    s.windowNm = d.windowNm;
+    return s;
+  };
   if (opts.cache == nullptr) {
-    return std::make_shared<const LayerDecomposition>(
-        synthesizeUncached(frags, rules, opts));
+    return std::make_shared<const LayerSummary>(
+        summarize(decomposeLayer(frags, rules, opts), false));
   }
   RunContext& ctx = opts.ctx ? *opts.ctx : RunContext::current();
-  const MaskCacheKey key = maskCacheKey(frags, rules, opts);
-  if (std::shared_ptr<const LayerDecomposition> hit = opts.cache->lookup(key)) {
+  const MaskCacheKey key = maskCacheKey(frags, rules, opts, request);
+  if (std::shared_ptr<const LayerSummary> hit = opts.cache->lookup(key)) {
     ctx.metrics().counter("mask_cache.hits").add(1);
     return hit;
   }
   ctx.metrics().counter("mask_cache.misses").add(1);
-  return opts.cache->insert(key, synthesizeUncached(frags, rules, opts));
-}
-
-LayerDecomposition decomposeLayer(std::span<const ColoredFragment> frags,
-                                  const DesignRules& rules,
-                                  const DecomposeOptions& opts) {
-  if (opts.cache == nullptr) {
-    return synthesizeUncached(frags, rules, opts);  // move, no copy
-  }
-  return *decomposeLayerShared(frags, rules, opts);
+  return opts.cache->insert(
+      key, summarize(decomposeLayer(frags, rules, opts),
+                     request == LayerRequest::WholeLayer));
 }
 
 std::uint64_t maskFingerprint(const LayerDecomposition& d) {

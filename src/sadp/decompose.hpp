@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -82,6 +83,27 @@ struct LayerDecomposition {
   int pxPerNm10 = 1;  ///< raster resolution: 1 px = 10 nm
 };
 
+/// A decomposition without its planes: what decomposeLayerShared returns
+/// and MaskCache keeps (DESIGN.md §5.11). The readers of a shared result
+/// -- cut checks, repair, physicalReport and the session sign-off -- read
+/// only these fields, so an entry costs bytes, not megabytes.
+struct LayerSummary {
+  OverlayReport report;
+  std::vector<Rect> conflictBoxesNm;     ///< as LayerDecomposition's
+  std::vector<Rect> hardOverlayBoxesNm;  ///< as LayerDecomposition's
+  Rect windowNm;
+  /// maskFingerprint of the freed planes. Taken only for whole-layer
+  /// requests made with a cache; empty otherwise.
+  std::optional<std::uint64_t> maskFp;
+};
+
+/// What a decomposeLayerShared request covers. Cache keys absorb it, so a
+/// whole-layer request never hits an entry that has no fingerprint.
+enum class LayerRequest : std::uint8_t {
+  Window,      ///< a local window: cut checks, repair probes
+  WholeLayer,  ///< a layer's full fragment list: sign-off, fingerprinted
+};
+
 /// Identity of the built-in SADP cut-process synthesis (the decomposeLayer
 /// pipeline in this file). A DecomposeOptions::synth that reports this id
 /// -- or a null synth -- takes the built-in path; mask-cache keys absorb
@@ -127,9 +149,11 @@ struct DecomposeOptions {
   /// Run context the decomposition reports metrics/spans into; null = the
   /// calling thread's bound context.
   RunContext* ctx = nullptr;
-  /// Optional shared result cache (sadp/mask_cache.hpp). A hit returns a
-  /// byte-identical plane without recomputation; a miss computes and
-  /// inserts. Hit/miss land on the ctx counters mask_cache.hits/.misses.
+  /// Optional shared summary cache (sadp/mask_cache.hpp), consulted by
+  /// decomposeLayerShared only. A hit returns the stored LayerSummary
+  /// without recomputation; a miss computes the planes, summarizes them
+  /// and inserts the summary. Hit/miss land on the ctx counters
+  /// mask_cache.hits/.misses. decomposeLayer ignores it.
   MaskCache* cache = nullptr;
   /// Mask-synthesis strategy. Null or an object whose synthId() ==
   /// kSadpCutSynthId takes the built-in SADP cut-process pipeline below;
@@ -141,16 +165,20 @@ struct DecomposeOptions {
 /// Synthesizes and measures one layer. Fragments are in track coordinates
 /// under `rules` (pitch = w_line + w_spacer); colors Unassigned default to
 /// Core. The raster window is the fragments' bounding box plus margin.
+/// Always computes: opts.cache is not consulted.
 LayerDecomposition decomposeLayer(std::span<const ColoredFragment> frags,
                                   const DesignRules& rules,
                                   const DecomposeOptions& opts = {});
 
-/// Copy-free variant for read-only consumers: a cache hit hands back the
-/// resident plane instead of deep-copying megabytes of bitmaps (the warm
-/// ECO path does hundreds of windowed lookups per edit).
-std::shared_ptr<const LayerDecomposition> decomposeLayerShared(
+/// The report, boxes and window of decomposeLayer, through opts.cache when
+/// one is set (the warm ECO path does hundreds of windowed lookups per
+/// edit). A whole-layer request made with a cache also carries the
+/// planes' maskFingerprint. Without a cache no fingerprint is taken: a
+/// cacheless caller that needs one fingerprints decomposeLayer's planes.
+std::shared_ptr<const LayerSummary> decomposeLayerShared(
     std::span<const ColoredFragment> frags, const DesignRules& rules,
-    const DecomposeOptions& opts = {});
+    const DecomposeOptions& opts = {},
+    LayerRequest request = LayerRequest::Window);
 
 /// Order-sensitive 64-bit digest over all six mask planes and the window
 /// box — the byte-identity witness the ECO correctness bar compares

@@ -32,9 +32,10 @@ struct Digest128 {
 
 MaskCacheKey maskCacheKey(std::span<const ColoredFragment> frags,
                           const DesignRules& rules,
-                          const DecomposeOptions& opts) {
+                          const DecomposeOptions& opts,
+                          LayerRequest request) {
   Digest128 d;
-  d.absorb(std::uint64_t(2));  // key schema version (2: + synth identity)
+  d.absorb(std::uint64_t(3));  // key schema version (3: + request kind)
   // Backend identity. Without this, a cache shared across backends would
   // alias entries: identical fragments/rules/options decompose to entirely
   // different planes under different synthesizers. Null and an explicit
@@ -64,24 +65,21 @@ MaskCacheKey maskCacheKey(std::span<const ColoredFragment> frags,
   d.absorb(opts.mergeCores);
   d.absorb(opts.trimAssists);
   d.absorb(opts.margin);
+  // Whole-layer entries carry a fingerprint and window entries do not, so
+  // the two kinds never share an entry.
+  d.absorb(std::uint64_t(request));
   return {d.a, d.b};
 }
 
-std::size_t MaskCache::approxBytes(const LayerDecomposition& d) {
-  std::size_t n = sizeof(LayerDecomposition);
-  for (const Bitmap* b :
-       {&d.target, &d.coreMask, &d.spacer, &d.cut, &d.assists, &d.bridges}) {
-    n += b->words().size() * sizeof(std::uint64_t);
-  }
-  for (const Bitmap& m : d.masks) {
-    n += m.words().size() * sizeof(std::uint64_t);
-  }
-  n += d.conflictBoxesNm.size() * sizeof(Rect);
-  n += d.hardOverlayBoxesNm.size() * sizeof(Rect);
-  return n;
+std::size_t MaskCache::approxBytes(const LayerSummary& s) {
+  // The entry's own bookkeeping counts too: without planes it is a fair
+  // share of the total.
+  return sizeof(Entry) + sizeof(LayerSummary) +
+         (s.conflictBoxesNm.size() + s.hardOverlayBoxesNm.size()) *
+             sizeof(Rect);
 }
 
-std::shared_ptr<const LayerDecomposition> MaskCache::lookup(
+std::shared_ptr<const LayerSummary> MaskCache::lookup(
     const MaskCacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
@@ -94,16 +92,15 @@ std::shared_ptr<const LayerDecomposition> MaskCache::lookup(
   return it->second->value;
 }
 
-std::shared_ptr<const LayerDecomposition> MaskCache::insert(
-    const MaskCacheKey& key, LayerDecomposition value) {
-  auto shared =
-      std::make_shared<const LayerDecomposition>(std::move(value));
+std::shared_ptr<const LayerSummary> MaskCache::insert(const MaskCacheKey& key,
+                                                      LayerSummary value) {
+  auto shared = std::make_shared<const LayerSummary>(std::move(value));
   const std::size_t bytes = approxBytes(*shared);
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
-    // Concurrent miss on the same key: both workers computed the (byte
-    // identical) plane; keep the resident one, just refresh recency.
+    // Concurrent miss on the same key: both workers computed the
+    // (identical) summary; keep the resident one, just refresh recency.
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->value;
   }

@@ -1,5 +1,8 @@
-// Fingerprint-keyed LRU cache over whole decomposeLayer results
-// (DESIGN.md §5.11).
+// Fingerprint-keyed LRU cache of decomposition summaries (DESIGN.md
+// §5.11). An entry is a LayerSummary: the report, the conflict and
+// hard-overlay boxes, the window and, for whole-layer requests, the
+// planes' maskFingerprint. The planes themselves are never stored; no
+// reader of a cached result reads them.
 //
 // The decomposition is a pure function of (fragment sequence, design
 // rules, the output-affecting options). The ignored tileWords field and
@@ -7,8 +10,8 @@
 // deliberately EXCLUDED from the key: a request made under another
 // context still hits. Keys are 128-bit content digests;
 // collisions are assumed negligible and the honesty test
-// (tests/test_mask_cache.cpp) pins the contract that a key hit returns a
-// byte-identical plane.
+// (tests/test_mask_cache.cpp) pins the contract that a key hit returns
+// the summary a fresh decomposition would give.
 //
 // The cache is shared across sessions and threads (one mutex; entries are
 // immutable shared_ptrs so readers keep hits alive across evictions) and
@@ -40,13 +43,15 @@ struct MaskCacheKeyHash {
   }
 };
 
-/// Digest of everything decomposeLayer's OUTPUT depends on: the exact
-/// fragment sequence (coords, net, color), every DesignRules field, and
-/// the output-affecting DecomposeOptions (insertAssists, mergeCores,
-/// trimAssists, margin).
+/// Digest of everything a stored summary depends on: the exact fragment
+/// sequence (coords, net, color), every DesignRules field, the
+/// output-affecting DecomposeOptions (synth identity, insertAssists,
+/// mergeCores, trimAssists, margin) and the request kind, which decides
+/// whether the summary carries a fingerprint.
 MaskCacheKey maskCacheKey(std::span<const ColoredFragment> frags,
                           const DesignRules& rules,
-                          const DecomposeOptions& opts);
+                          const DecomposeOptions& opts,
+                          LayerRequest request = LayerRequest::Window);
 
 struct MaskCacheStats {
   std::int64_t hits = 0;
@@ -66,16 +71,16 @@ class MaskCache {
   MaskCache(const MaskCache&) = delete;
   MaskCache& operator=(const MaskCache&) = delete;
 
-  /// Returns the cached plane (bumping it most-recently-used) or null.
-  std::shared_ptr<const LayerDecomposition> lookup(const MaskCacheKey& key);
+  /// Returns the cached summary (bumping it most-recently-used) or null.
+  std::shared_ptr<const LayerSummary> lookup(const MaskCacheKey& key);
 
   /// Inserts (or refreshes) an entry, then evicts LRU entries until the
   /// byte budget holds. An entry larger than the whole budget is still
   /// admitted alone (callers own a shared_ptr; memory stays bounded).
   /// Returns the resident entry: the inserted value, or -- on a concurrent
-  /// double-compute -- the byte-identical one that got there first.
-  std::shared_ptr<const LayerDecomposition> insert(const MaskCacheKey& key,
-                                                   LayerDecomposition value);
+  /// double-compute -- the identical one that got there first.
+  std::shared_ptr<const LayerSummary> insert(const MaskCacheKey& key,
+                                             LayerSummary value);
 
   MaskCacheStats stats() const;
   void clear();
@@ -83,11 +88,11 @@ class MaskCache {
  private:
   struct Entry {
     MaskCacheKey key;
-    std::shared_ptr<const LayerDecomposition> value;
+    std::shared_ptr<const LayerSummary> value;
     std::size_t bytes = 0;
   };
 
-  static std::size_t approxBytes(const LayerDecomposition& d);
+  static std::size_t approxBytes(const LayerSummary& s);
   void evictOverBudgetLocked();
 
   const std::size_t maxBytes_;

@@ -219,23 +219,21 @@ RouteOutcome Session::runOnce(int netsDirty, const Rect& dirtyTr,
     }
     out.verifySkips = router.verifySkips();
     // Sign-off: per-layer decomposition summed in layer order, as
-    // physicalReport sums it, so the totals are identical.
+    // physicalReport sums it, so the totals are identical. With a cache a
+    // whole-layer summary carries its fingerprint (taken once, when the
+    // entry was made); without one the planes are fingerprinted here.
     {
       SADP_SPAN("session.decompose");
-      if (fpMemo_.size() > 64) fpMemo_.clear();
       for (int layer = 0; layer < grid.layers(); ++layer) {
-        const auto d = router.decomposeShared(layer, dopts);
-        out.report += d->report;
-        std::uint64_t fp = 0;
-        if (const auto it = fpMemo_.find(d.get()); it != fpMemo_.end()) {
-          fp = it->second.second;
+        if (cache_ != nullptr) {
+          const auto s = router.decomposeShared(layer, dopts);
+          out.report += s->report;
+          out.layerMaskFp.push_back(s->maskFp.value());
         } else {
-          fp = maskFingerprint(*d);
-          // Cold sessions (no cache) make a fresh plane every run; the
-          // memo would only pin dead memory there.
-          if (cache_ != nullptr) fpMemo_.emplace(d.get(), std::pair{d, fp});
+          const LayerDecomposition d = router.decompose(layer, dopts);
+          out.report += d.report;
+          out.layerMaskFp.push_back(maskFingerprint(d));
         }
-        out.layerMaskFp.push_back(fp);
       }
     }
     // Refresh the per-net boxes for the next edit's dirty test.

@@ -14,9 +14,11 @@
 //     inflated by the cut-check window -- pre-drops the recorded logs of
 //     intersecting nets (they will re-search anyway), so in effect only
 //     nets touching the dirty region are ripped up and re-routed.
-//   - MaskCache (sadp/mask_cache.hpp): every decomposeLayer call (cut
-//     checks, repair probes, sign-off) is keyed by content fingerprint;
-//     windows and layers whose fragments did not change are cache hits.
+//   - MaskCache (sadp/mask_cache.hpp): every decomposeLayerShared call
+//     (cut checks, repair probes, sign-off) is keyed by content
+//     fingerprint; windows and layers whose fragments did not change are
+//     cache hits. An entry is a plane-free LayerSummary, and sign-off
+//     entries carry the mask fingerprint the outcome reports.
 //
 // Because replay re-executes ALL control flow and only skips searches
 // proven unobservable, an ECO outcome is byte-identical to a cold route
@@ -26,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -163,17 +164,6 @@ class Session {
   /// Per-net track bbox of the last run's route + pins (dirty-region
   /// intersection test).
   std::unordered_map<std::string, Rect> lastBox_;
-  /// maskFingerprint memo keyed by plane identity: warm sign-off gets the
-  /// same resident MaskCache object back edit after edit, so re-hashing
-  /// its megabytes of planes is pure waste. The value pins the owner, so
-  /// an address can never be reused while its entry exists (pure function
-  /// of an immutable object => the memoized value is exact, not
-  /// probabilistic). Bounded; cleared wholesale when it outgrows the
-  /// working set.
-  std::unordered_map<const LayerDecomposition*,
-                     std::pair<std::shared_ptr<const LayerDecomposition>,
-                               std::uint64_t>>
-      fpMemo_;
   RouteOutcome last_;
   bool routedOnce_ = false;
   std::mutex mu_;

@@ -1,7 +1,8 @@
-// MaskCache contract tests (DESIGN.md §5.11): a key hit returns a
-// byte-identical plane, hit/miss/eviction accounting is deterministic,
-// and the key covers exactly the output-affecting inputs (the ignored
-// tileWords field is deliberately excluded).
+// MaskCache contract tests (DESIGN.md §5.11): a key hit returns the
+// summary a fresh decomposition gives, entries hold no planes, whole-layer
+// and window requests keep separate entries, hit/miss/eviction accounting
+// is deterministic, and the key covers exactly the output-affecting inputs
+// (the ignored tileWords field is deliberately excluded).
 #include <gtest/gtest.h>
 
 #include "netlist/benchmark.hpp"
@@ -31,38 +32,100 @@ std::vector<ColoredFragment> routedFragments(int layer,
   return router.coloredFragments(layer);
 }
 
-void expectSamePlanes(const LayerDecomposition& a,
-                      const LayerDecomposition& b) {
-  EXPECT_EQ(maskFingerprint(a), maskFingerprint(b));
-  EXPECT_EQ(a.target.words(), b.target.words());
-  EXPECT_EQ(a.coreMask.words(), b.coreMask.words());
-  EXPECT_EQ(a.spacer.words(), b.spacer.words());
-  EXPECT_EQ(a.cut.words(), b.cut.words());
-  EXPECT_EQ(a.assists.words(), b.assists.words());
-  EXPECT_EQ(a.bridges.words(), b.bridges.words());
-  EXPECT_EQ(a.report, b.report);
-  EXPECT_EQ(a.conflictBoxesNm, b.conflictBoxesNm);
-  EXPECT_EQ(a.hardOverlayBoxesNm, b.hardOverlayBoxesNm);
-  EXPECT_EQ(a.windowNm, b.windowNm);
+/// Every field a summary shares with the planes' decomposition.
+void expectSummarizes(const LayerSummary& s, const LayerDecomposition& d) {
+  EXPECT_EQ(s.report, d.report);
+  EXPECT_EQ(s.conflictBoxesNm, d.conflictBoxesNm);
+  EXPECT_EQ(s.hardOverlayBoxesNm, d.hardOverlayBoxesNm);
+  EXPECT_EQ(s.windowNm, d.windowNm);
 }
 
-TEST(MaskCache, HitReturnsByteIdenticalPlane) {
+/// Bytes of the six mask planes of one decomposition.
+std::int64_t planeBytes(const LayerDecomposition& d) {
+  std::int64_t n = 0;
+  for (const Bitmap* b :
+       {&d.target, &d.coreMask, &d.spacer, &d.cut, &d.assists, &d.bridges}) {
+    n += std::int64_t(b->words().size() * sizeof(std::uint64_t));
+  }
+  return n;
+}
+
+TEST(MaskCache, HitReturnsIdenticalSummary) {
   const std::vector<ColoredFragment> frags = routedFragments(0);
+  ASSERT_FALSE(frags.empty());
   const DesignRules rules{};
   const LayerDecomposition ref = decomposeLayer(frags, rules);  // uncached
 
+  // Without a cache the summary is computed fresh and never fingerprinted.
+  const auto uncached = decomposeLayerShared(frags, rules, {},
+                                             LayerRequest::WholeLayer);
+  expectSummarizes(*uncached, ref);
+  EXPECT_FALSE(uncached->maskFp.has_value());
+
+  for (const LayerRequest request :
+       {LayerRequest::Window, LayerRequest::WholeLayer}) {
+    MaskCache cache;
+    DecomposeOptions opts;
+    opts.cache = &cache;
+    decomposeLayer(frags, rules, opts);  // planes: never touches the cache
+    const auto miss = decomposeLayerShared(frags, rules, opts, request);
+    const auto hit = decomposeLayerShared(frags, rules, opts, request);
+
+    const MaskCacheStats s = cache.stats();
+    EXPECT_EQ(s.misses, 1);
+    EXPECT_EQ(s.hits, 1);
+    EXPECT_EQ(s.entries, 1);
+    EXPECT_EQ(miss, hit);  // the resident entry itself
+    expectSummarizes(*miss, ref);
+    expectSummarizes(*hit, ref);
+    if (request == LayerRequest::WholeLayer) {
+      ASSERT_TRUE(hit->maskFp.has_value());
+      EXPECT_EQ(*hit->maskFp, maskFingerprint(ref));
+    } else {
+      EXPECT_FALSE(hit->maskFp.has_value());
+    }
+  }
+}
+
+TEST(MaskCache, EntriesHoldNoPlanes) {
+  BenchmarkInstance inst = makeBenchmark(tinySpec());
+  MaskCache cache;
+  RouterOptions ro;
+  ro.maskCache = &cache;
+  OverlayAwareRouter router(inst.grid, inst.netlist, ro);
+  router.run();
+  for (int layer = 0; layer < inst.grid.layers(); ++layer) {
+    ASSERT_TRUE(router.decomposeShared(layer)->maskFp.has_value());
+  }
+  const MaskCacheStats s = cache.stats();
+  EXPECT_GE(s.entries, inst.grid.layers());
+  // Every cut check, repair probe and sign-off request of the run together
+  // costs less than the planes of a single layer.
+  EXPECT_LT(s.bytes, planeBytes(router.decompose(0)));
+}
+
+TEST(MaskCache, WholeLayerAndWindowRequestsKeepSeparateEntries) {
+  const std::vector<ColoredFragment> frags = routedFragments(1);
+  const DesignRules rules{};
   MaskCache cache;
   DecomposeOptions opts;
   opts.cache = &cache;
-  const LayerDecomposition miss = decomposeLayer(frags, rules, opts);
-  const LayerDecomposition hit = decomposeLayer(frags, rules, opts);
+  EXPECT_NE(maskCacheKey(frags, rules, opts, LayerRequest::Window),
+            maskCacheKey(frags, rules, opts, LayerRequest::WholeLayer));
 
+  const auto window =
+      decomposeLayerShared(frags, rules, opts, LayerRequest::Window);
+  const auto whole =
+      decomposeLayerShared(frags, rules, opts, LayerRequest::WholeLayer);
   const MaskCacheStats s = cache.stats();
-  EXPECT_EQ(s.misses, 1);
-  EXPECT_EQ(s.hits, 1);
-  EXPECT_EQ(s.entries, 1);
-  expectSamePlanes(ref, miss);
-  expectSamePlanes(ref, hit);
+  EXPECT_EQ(s.misses, 2);  // the whole-layer request did not hit the window
+  EXPECT_EQ(s.hits, 0);
+  EXPECT_EQ(s.entries, 2);
+  EXPECT_FALSE(window->maskFp.has_value());
+  ASSERT_TRUE(whole->maskFp.has_value());
+  EXPECT_EQ(*whole->maskFp, maskFingerprint(decomposeLayer(frags, rules)));
+  EXPECT_EQ(window->report, whole->report);
+  EXPECT_EQ(window->windowNm, whole->windowNm);
 }
 
 TEST(MaskCache, KeyIgnoresTilingAndScheduling) {
@@ -78,10 +141,10 @@ TEST(MaskCache, KeyIgnoresTilingAndScheduling) {
   b.tileWords = -1;
 
   EXPECT_EQ(maskCacheKey(frags, rules, a), maskCacheKey(frags, rules, b));
-  const LayerDecomposition first = decomposeLayer(frags, rules, a);
-  const LayerDecomposition second = decomposeLayer(frags, rules, b);
+  const auto first = decomposeLayerShared(frags, rules, a);
+  const auto second = decomposeLayerShared(frags, rules, b);
   EXPECT_EQ(cache.stats().hits, 1);  // the ignored field never splits keys
-  expectSamePlanes(first, second);
+  EXPECT_EQ(first, second);
 }
 
 TEST(MaskCache, KeyCoversOutputAffectingInputs) {
@@ -134,11 +197,11 @@ TEST(MaskCache, EvictsLeastRecentlyUsedDeterministically) {
   auto runSequence = [&](MaskCache& cache) {
     DecomposeOptions opts = base;
     opts.cache = &cache;
-    for (const auto& frags : inputs) decomposeLayer(frags, rules, opts);
+    for (const auto& frags : inputs) decomposeLayerShared(frags, rules, opts);
     // Re-request the LAST input: with a 1-byte budget only the most
     // recent entry survives, so exactly this one hits.
-    decomposeLayer(inputs.back(), rules, opts);
-    decomposeLayer(inputs.front(), rules, opts);  // evicted -> miss
+    decomposeLayerShared(inputs.back(), rules, opts);
+    decomposeLayerShared(inputs.front(), rules, opts);  // evicted -> miss
     return cache.stats();
   };
 
@@ -165,16 +228,19 @@ TEST(MaskCache, LookupKeepsEntryAliveAcrossEviction) {
   const DesignRules rules{};
   const DecomposeOptions base;
 
+  const LayerRequest whole = LayerRequest::WholeLayer;
   MaskCache cache(1);
-  cache.insert(maskCacheKey(a, rules, base), decomposeLayer(a, rules));
-  const std::shared_ptr<const LayerDecomposition> held =
-      cache.lookup(maskCacheKey(a, rules, base));
+  DecomposeOptions opts = base;
+  opts.cache = &cache;
+  decomposeLayerShared(a, rules, opts, whole);
+  const std::shared_ptr<const LayerSummary> held =
+      cache.lookup(maskCacheKey(a, rules, base, whole));
   ASSERT_TRUE(held);
-  cache.insert(maskCacheKey(b, rules, base), decomposeLayer(b, rules));
-  // `a` was evicted but the shared_ptr keeps the plane readable.
-  EXPECT_FALSE(cache.lookup(maskCacheKey(a, rules, base)));
-  EXPECT_EQ(maskFingerprint(*held),
-            maskFingerprint(decomposeLayer(a, rules)));
+  decomposeLayerShared(b, rules, opts, whole);
+  // `a` was evicted but the shared_ptr keeps the summary readable.
+  EXPECT_FALSE(cache.lookup(maskCacheKey(a, rules, base, whole)));
+  ASSERT_TRUE(held->maskFp.has_value());
+  EXPECT_EQ(*held->maskFp, maskFingerprint(decomposeLayer(a, rules)));
 }
 
 TEST(MaskCache, ClearResetsEntriesButKeepsTotals) {
@@ -183,12 +249,12 @@ TEST(MaskCache, ClearResetsEntriesButKeepsTotals) {
   MaskCache cache;
   DecomposeOptions opts;
   opts.cache = &cache;
-  decomposeLayer(frags, rules, opts);
-  decomposeLayer(frags, rules, opts);
+  decomposeLayerShared(frags, rules, opts);
+  decomposeLayerShared(frags, rules, opts);
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0);
   EXPECT_EQ(cache.stats().bytes, 0);
-  decomposeLayer(frags, rules, opts);
+  decomposeLayerShared(frags, rules, opts);
   EXPECT_EQ(cache.stats().misses, 2);  // cleared -> recompute once more
   EXPECT_EQ(cache.stats().hits, 1);
 }
