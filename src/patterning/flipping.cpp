@@ -112,11 +112,14 @@ ReducedGraph reduceGraph(const OverlayConstraintGraph& g) {
 namespace {
 
 /// Plain union-find for component extraction / Kruskal: union by size with
-/// path halving.
+/// path halving. reset() reuses the storage.
 class Dsu {
  public:
-  explicit Dsu(std::size_t n) : parent_(n), size_(n, 1) {
+  explicit Dsu(std::size_t n = 0) { reset(n); }
+  void reset(std::size_t n) {
+    parent_.resize(n);
     std::iota(parent_.begin(), parent_.end(), std::uint32_t(0));
+    size_.assign(n, 1);
   }
   std::size_t find(std::size_t v) {
     while (parent_[v] != v) {
@@ -155,58 +158,79 @@ std::int64_t edgeCostUnder(const ReducedEdge& e, Color cu, Color cv) {
   return e.cost[int(cu) * 2 + int(cv)];
 }
 
-}  // namespace
+struct Visit {
+  std::uint32_t node;
+  std::uint32_t parent;
+  std::size_t parentEdge;
+};
 
-namespace {
-
-/// Eq. (4) tree DP over one component, on component-local class indices
-/// (`localOf` maps a class to its index in `classes`, the component's
-/// sorted class list). Tree adjacency keeps `treeEdges` order and the DFS
-/// pops children in reverse push order, so traversal and tie-breaks are a
-/// function of the component alone. Returns the colors by local index;
-/// every table, the result included, is O(component).
-std::vector<Color> treeDp(const ReducedGraph& rg,
-                          std::span<const std::size_t> treeEdges,
-                          std::span<const std::uint32_t> classes,
-                          std::span<const std::uint32_t> localOf,
-                          std::uint32_t root) {
-  const std::size_t n = classes.size();
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t ei : treeEdges) {
-    adj[localOf[rg.edges[ei].u]].push_back(ei);
-    adj[localOf[rg.edges[ei].v]].push_back(ei);
-  }
-  // Iterative DFS order from the root.
-  struct Visit {
-    std::uint32_t node;
-    std::uint32_t parent;
-    std::size_t parentEdge;
-  };
+/// Per-component tables of one colorFlip call. Each component overwrites
+/// what it uses, so storage grows to the largest component and is then
+/// reused instead of reallocated.
+struct FlipScratch {
+  std::vector<std::uint32_t> classes;  ///< the component's sorted classes
+  std::vector<std::size_t> sorted;     ///< its edges, heaviest first
+  std::vector<std::size_t> treeEdges;  ///< its maximum spanning tree
+  Dsu mst;
+  std::vector<std::uint32_t> adjStart;  ///< CSR offsets into adj, n + 1
+  std::vector<std::uint32_t> adjFill;
+  std::vector<std::size_t> adj;  ///< tree edges per node, treeEdges order
   std::vector<Visit> order;
   std::vector<Visit> stack;
-  stack.push_back({root, std::uint32_t(-1), 0});
-  std::vector<char> seen(n, 0);
-  while (!stack.empty()) {
-    Visit v = stack.back();
-    stack.pop_back();
-    if (seen[v.node]) continue;
-    seen[v.node] = 1;
-    order.push_back(v);
-    for (std::size_t ei : adj[v.node]) {
+  std::vector<char> seen;
+  std::vector<std::array<std::int64_t, 2>> cost;
+  std::vector<std::array<Color, 2>> childBest;
+  std::vector<Color> colors;  ///< treeDp's result by local index
+};
+
+/// Eq. (4) tree DP over one component, on component-local class indices
+/// (`localOf` maps a class to its index in `s.classes`, the component's
+/// sorted class list) and the tree in `s.treeEdges`. Tree adjacency keeps
+/// `treeEdges` order and the DFS pops children in reverse push order, so
+/// traversal and tie-breaks are a function of the component alone. Leaves
+/// the colors by local index in `s.colors`; every table is O(component).
+void treeDp(const ReducedGraph& rg, std::span<const std::uint32_t> localOf,
+            std::uint32_t root, FlipScratch& s) {
+  const std::size_t n = s.classes.size();
+  s.adjStart.assign(n + 1, 0);
+  for (std::size_t ei : s.treeEdges) {
+    ++s.adjStart[localOf[rg.edges[ei].u] + 1];
+    ++s.adjStart[localOf[rg.edges[ei].v] + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) s.adjStart[i + 1] += s.adjStart[i];
+  s.adjFill.assign(s.adjStart.begin(), s.adjStart.end() - 1);
+  s.adj.resize(s.adjStart[n]);
+  for (std::size_t ei : s.treeEdges) {
+    s.adj[s.adjFill[localOf[rg.edges[ei].u]]++] = ei;
+    s.adj[s.adjFill[localOf[rg.edges[ei].v]]++] = ei;
+  }
+  // Iterative DFS order from the root.
+  s.order.clear();
+  s.stack.clear();
+  s.stack.push_back({root, std::uint32_t(-1), 0});
+  s.seen.assign(n, 0);
+  while (!s.stack.empty()) {
+    const Visit v = s.stack.back();
+    s.stack.pop_back();
+    if (s.seen[v.node]) continue;
+    s.seen[v.node] = 1;
+    s.order.push_back(v);
+    for (std::uint32_t k = s.adjStart[v.node]; k < s.adjStart[v.node + 1];
+         ++k) {
+      const std::size_t ei = s.adj[k];
       const ReducedEdge& e = rg.edges[ei];
       const std::uint32_t next = localOf[e.u] == v.node ? localOf[e.v]
                                                         : localOf[e.u];
-      if (!seen[next]) stack.push_back({next, v.node, ei});
+      if (!s.seen[next]) s.stack.push_back({next, v.node, ei});
     }
   }
   // Bottom-up DP, eq. (4): cost[node][c] = selfCost[node][c] + sum over
   // children of min_p (cost[child][p] + edgeCost(c, p)).
-  std::vector<std::array<std::int64_t, 2>> cost(n);
-  for (std::size_t i = 0; i < n; ++i) cost[i] = rg.selfCost[classes[i]];
+  s.cost.resize(n);
+  for (std::size_t i = 0; i < n; ++i) s.cost[i] = rg.selfCost[s.classes[i]];
   // childBest[childNode][parentColor] = chosen child color
-  std::vector<std::array<Color, 2>> childBest(
-      n, {Color::Unassigned, Color::Unassigned});
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+  s.childBest.assign(n, {Color::Unassigned, Color::Unassigned});
+  for (auto it = s.order.rbegin(); it != s.order.rend(); ++it) {
     const Visit& v = *it;
     if (v.parent == std::uint32_t(-1)) continue;
     const ReducedEdge& e = rg.edges[v.parentEdge];
@@ -217,26 +241,25 @@ std::vector<Color> treeDp(const ReducedGraph& rg,
       for (int cc = 0; cc < 2; ++cc) {
         // Edge cost with the parent's color on the parent endpoint.
         const int idx = parentIsU ? pc * 2 + cc : cc * 2 + pc;
-        const std::int64_t total = cost[v.node][cc] + e.cost[idx];
+        const std::int64_t total = s.cost[v.node][cc] + e.cost[idx];
         if (best < 0 || total < best) {
           best = total;
           bestColor = Color(cc);
         }
       }
-      cost[v.parent][pc] += best;
-      childBest[v.node][pc] = bestColor;
+      s.cost[v.parent][pc] += best;
+      s.childBest[v.node][pc] = bestColor;
     }
   }
   // Backtrace from the root.
-  std::vector<Color> out(n, Color::Unassigned);
-  out[root] = Color(cost[root][0] <= cost[root][1] ? 0 : 1);
-  for (const Visit& v : order) {
+  s.colors.assign(n, Color::Unassigned);
+  s.colors[root] = Color(s.cost[root][0] <= s.cost[root][1] ? 0 : 1);
+  for (const Visit& v : s.order) {
     if (v.parent == std::uint32_t(-1)) continue;
-    const Color pc = out[v.parent];
+    const Color pc = s.colors[v.parent];
     assert(pc != Color::Unassigned);
-    out[v.node] = childBest[v.node][int(pc)];
+    s.colors[v.node] = s.childBest[v.node][int(pc)];
   }
-  return out;
 }
 
 }  // namespace
@@ -244,28 +267,49 @@ std::vector<Color> treeDp(const ReducedGraph& rg,
 FlipStats colorFlip(OverlayConstraintGraph& g) {
   FlipStats stats;
   ReducedGraph rg = reduceGraph(g);
-  if (rg.classCount() == 0) return stats;
+  const std::size_t classCount = rg.classCount();
+  if (classCount == 0) return stats;
 
-  // Components over all reduced edges.
-  Dsu comp(rg.classCount());
+  // Components over all reduced edges, then each component's edges in
+  // ascending index order, grouped by root (counting sort). Components
+  // are independent, so the order they are visited in changes nothing.
+  Dsu comp(classCount);
   for (const ReducedEdge& e : rg.edges) comp.unite(e.u, e.v);
-  std::unordered_map<std::size_t, std::vector<std::size_t>> edgesOfComp;
+  std::vector<std::uint32_t> compStart(classCount + 1, 0);
+  std::vector<std::uint32_t> rootOfEdge(rg.edges.size());
   for (std::size_t ei = 0; ei < rg.edges.size(); ++ei) {
-    edgesOfComp[comp.find(rg.edges[ei].u)].push_back(ei);
+    rootOfEdge[ei] = std::uint32_t(comp.find(rg.edges[ei].u));
+    ++compStart[rootOfEdge[ei] + 1];
+  }
+  for (std::size_t r = 0; r < classCount; ++r) {
+    compStart[r + 1] += compStart[r];
+  }
+  std::vector<std::size_t> compEdgeList(rg.edges.size());
+  {
+    std::vector<std::uint32_t> fill(compStart.begin(), compStart.end() - 1);
+    for (std::size_t ei = 0; ei < rg.edges.size(); ++ei) {
+      compEdgeList[fill[rootOfEdge[ei]]++] = ei;
+    }
   }
 
   // Component-local class index, so every per-component table below is
   // sized by the component, not the layer. Each class belongs to one
   // component, so entries are written once and never need resetting.
-  std::vector<std::uint32_t> localOf(rg.classCount());
+  std::vector<std::uint32_t> localOf(classCount);
   std::vector<Color> newColors = rg.classColor;  // start from current
-  for (auto& [root, compEdges] : edgesOfComp) {
+  FlipScratch scratch;
+  std::vector<std::uint32_t>& compClasses = scratch.classes;
+  for (std::size_t root = 0; root < classCount; ++root) {
+    const std::span<const std::size_t> compEdges(
+        compEdgeList.data() + compStart[root],
+        compStart[root + 1] - compStart[root]);
+    if (compEdges.empty()) continue;
     ++stats.components;
     // Cost of the component under the current coloring. A component with
     // uncolored classes has no meaningful "before": always take the DP.
     std::int64_t before = 0;
     bool anyUncolored = false;
-    std::vector<std::uint32_t> compClasses;
+    compClasses.clear();
     for (std::size_t ei : compEdges) {
       const ReducedEdge& e = rg.edges[ei];
       anyUncolored |= rg.classColor[e.u] == Color::Unassigned ||
@@ -290,20 +334,22 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
     stats.costBefore += before;
 
     // Maximum spanning tree (Kruskal on descending weight).
-    std::vector<std::size_t> sorted = compEdges;
-    std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-      return rg.edges[a].weight > rg.edges[b].weight;
-    });
-    Dsu mst(compClasses.size());
-    std::vector<std::size_t> treeEdges;
-    for (std::size_t ei : sorted) {
-      if (mst.unite(localOf[rg.edges[ei].u], localOf[rg.edges[ei].v])) {
-        treeEdges.push_back(ei);
+    scratch.sorted.assign(compEdges.begin(), compEdges.end());
+    std::sort(scratch.sorted.begin(), scratch.sorted.end(),
+              [&](std::size_t a, std::size_t b) {
+                return rg.edges[a].weight > rg.edges[b].weight;
+              });
+    scratch.mst.reset(compClasses.size());
+    scratch.treeEdges.clear();
+    for (std::size_t ei : scratch.sorted) {
+      if (scratch.mst.unite(localOf[rg.edges[ei].u],
+                            localOf[rg.edges[ei].v])) {
+        scratch.treeEdges.push_back(ei);
       }
     }
 
-    const std::vector<Color> dp =
-        treeDp(rg, treeEdges, compClasses, localOf, localOf[root]);
+    treeDp(rg, localOf, localOf[root], scratch);
+    const std::vector<Color>& dp = scratch.colors;
     // True component cost under the DP coloring (non-tree edges included).
     std::int64_t after = 0;
     for (std::size_t ei : compEdges) {
@@ -329,12 +375,12 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
 
   // Classes untouched by any reduced edge (isolated or intra-only) are
   // optimized directly by their self-cost (ties keep the current color).
-  std::vector<char> inComponent(rg.classCount(), 0);
+  std::vector<char> inComponent(classCount, 0);
   for (const ReducedEdge& e : rg.edges) {
     inComponent[e.u] = 1;
     inComponent[e.v] = 1;
   }
-  for (std::size_t c = 0; c < rg.classCount(); ++c) {
+  for (std::size_t c = 0; c < classCount; ++c) {
     if (inComponent[c]) continue;
     const std::int64_t coreCost = rg.selfCost[c][0];
     const std::int64_t secondCost = rg.selfCost[c][1];
