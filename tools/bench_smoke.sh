@@ -114,6 +114,19 @@ serve_pid=
 echo "bench_smoke: warm ECO edits >= 3x cold route throughput;" \
      "updated $repo_root/BENCH_service.json"
 
+# Mask-cache entry gate (DESIGN.md §5.11): an entry is a plane-free
+# summary of a few hundred bytes. More than 4 KiB per entry means mask
+# planes, or something as large, are resident in the cache again.
+python3 - "$repo_root/BENCH_service.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["cache"]
+per = c["bytes"] / max(1, c["entries"])
+if per > 4096:
+    sys.exit("bench_smoke: %.0f B per mask-cache entry (%d B over %d "
+             "entries) exceeds 4 KiB" % (per, c["bytes"], c["entries"]))
+print("bench_smoke: %.0f B per mask-cache entry (limit 4 KiB)" % per)
+EOF
+
 # Sanitizer gate: rebuild the fuzz-labelled equivalence suites (bucket vs
 # heap A*, scalar vs AVX2 bitmap kernels) under AddressSanitizer and
 # UBSan in a throwaway build dir. An overrun of the engine's open-list or
