@@ -55,6 +55,13 @@ class RoutingGrid {
   std::size_t nodeCount() const {
     return std::size_t(layers_) * height_ * width_;
   }
+  /// The node at a linear index (the inverse of index()).
+  GridNode nodeAt(std::size_t idx) const {
+    const std::size_t plane = std::size_t(width_) * std::size_t(height_);
+    const std::size_t rem = idx % plane;
+    return {Track(rem % std::size_t(width_)), Track(rem / std::size_t(width_)),
+            std::int16_t(idx / plane)};
+  }
 
   NetId owner(const GridNode& n) const { return occ_[index(n)]; }
   /// Owner by linear index — footprint verification reads recorded
@@ -113,7 +120,6 @@ class RoutingGrid {
   void resetCongestion();
   /// Drops the arrays entirely (post-negotiation: back to zero footprint).
   void clearCongestion();
-  bool congestionActive() const { return !negUsage_.empty(); }
   /// Nets currently sharing a node.
   std::int32_t usageAt(const GridNode& n) const {
     return negUsage_[index(n)];
@@ -123,7 +129,6 @@ class RoutingGrid {
   /// nodes are ignored. Counts never go below zero.
   void addUsage(const GridNode& n, std::int32_t delta);
   /// Accumulated history cost of a node.
-  float historyAt(const GridNode& n) const { return negHistory_[index(n)]; }
   float historyAtIndex(std::size_t idx) const { return negHistory_[idx]; }
   void addHistory(const GridNode& n, float delta) {
     if (inBounds(n)) negHistory_[index(n)] += delta;

@@ -5,11 +5,12 @@
 //       OverlayAwareAStarSearch          (eq. (5) cost, T2b avoidance)
 //       UpdateConstraintGraph            (OverlayModel::addNet)
 //       if hard odd cycle or cut conflict:
-//         RipUp + IncreaseCost, retry    (bounded by maxRipUp)
+//         RipUp + IncreaseCost, retry    (bounded by kMaxRipUp)
 //     Pseudocoloring                     (greedy class coloring)
 //     if SideOverlay(net) > f_threshold: ColorFlipping (net's layers)
 //   final ColorFlipping on the full layout
 //   violation repair: color flips, then targeted rip-up & re-route
+//                                        (route/repair.cpp)
 //
 // The cut-conflict check is a windowed run of the bitmap mask synthesizer
 // around the new net (both color choices are tried); the full-chip
@@ -17,6 +18,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "patterning/flipping.hpp"
@@ -40,10 +44,31 @@ class RunContext;
 constexpr int kMaxNegotiateIters = 10'000;
 constexpr int kMaxHistoryCost = 10'000;
 
+/// Fixed router constants (DESIGN.md §5.9).
+constexpr int kMaxRipUp = 3;          ///< rip-up & re-route retries per net
+constexpr int kFlipThreshold = 10;    ///< f_threshold (units of w_line)
+constexpr float kRipUpPenalty = 6.0f; ///< IncreaseCost() delta per cell
+/// Half-window of the local cut check, in tracks. An ECO edit's dirty
+/// radius adds it, because the windowed decompose reads that much more.
+constexpr Track kCutCheckWindowTracks = 5;
+constexpr int kRepairPasses = 3;       ///< flip/reroute repair passes
+/// Negotiation's present cost per extra sharer of a cell (DESIGN.md §5.14).
+constexpr float kPresentFactor = 2.0f;
+
+/// What an incremental replay knows changed since the run its memo
+/// recorded (RouterOptions::replay).
+struct ReplayRegions {
+  /// A-priori changed regions in track space (the ECO edit's dirty box:
+  /// old/new pin cells plus the edited net's previous extent).
+  std::vector<Rect> changedSeed;
+  /// Previous run's extent (pins + committed path) per current NetId,
+  /// noted as changed the first time that net's replay diverges. Empty
+  /// rects for nets without history (e.g. freshly added).
+  std::vector<Rect> prevNetBoxes;
+};
+
 struct RouterOptions {
   AStarParams astar;
-  int maxRipUp = 3;            ///< max rip-up & re-route iterations per net
-  int flipThreshold = 10;      ///< f_threshold (units of w_line)
   bool enableColorFlip = true; ///< per-net color flipping
   bool finalGlobalFlip = true; ///< full-layout flip after routing
   bool enableT2bAvoidance = true;  ///< gamma term of eq. (5)
@@ -56,13 +81,6 @@ struct RouterOptions {
   bool acceptHardViolations = false;
   /// Baseline mode: first-fit colors instead of cost-aware pseudo-coloring.
   bool naiveColoring = false;
-  /// Net ordering for the sequential route: shortest half-perimeter first
-  /// (short nets lock in fewer resources, a standard detailed-routing
-  /// heuristic). Disabled = netlist order.
-  bool shortNetsFirst = true;
-  float ripUpPenalty = 6.0f;   ///< IncreaseCost() delta per offending cell
-  Nm cutCheckWindowTracks = 5; ///< half-window of the local cut check
-  int repairPasses = 3;        ///< flip/reroute repair iterations
   /// Last-resort repair: unroute a conflict-involved net when neither a
   /// color flip nor a re-route clears the violation. Clears about a third
   /// of the residual conflicts at ~4% routability cost; off by default
@@ -72,28 +90,20 @@ struct RouterOptions {
   /// (route/route_memo.hpp). Null = no memoization; results are
   /// byte-identical either way by construction.
   RouteMemo* memo = nullptr;
-  /// Replay fast path: trust changedSeed/prevNetBoxes to cover every grid
+  /// Replay fast path: when set, trust its regions to cover every grid
   /// cell whose state differs from the run the memo recorded. A recorded
   /// search whose probed bbox misses every changed region (the router
   /// grows the set as the replay diverges) then skips per-cell
-  /// verification; the key comparison still applies. Off = always walk
+  /// verification; the key comparison still applies. Unset = always walk
   /// the footprint; results are byte-identical either way.
-  bool trustChangedRegions = false;
-  /// A-priori changed regions in track space (the ECO edit's dirty box:
-  /// old/new pin cells plus the edited net's previous extent).
-  std::vector<Rect> changedSeed;
-  /// Previous run's extent (pins + committed path) per current NetId,
-  /// noted as changed the first time that net's replay diverges. Empty
-  /// rects for nets without history (e.g. freshly added).
-  std::vector<Rect> prevNetBoxes;
+  std::optional<ReplayRegions> replay;
   /// Shared summary cache applied to every decomposeLayerShared the router
   /// issues (cut-conflict windows, repair probes, sign-off). Null = off.
   MaskCache* maskCache = nullptr;
   /// Patterning backend (DESIGN.md §5.13): the coloring interpretation,
-  /// recoloring pass, and mask synthesis the run uses. Null resolves the
-  /// run context's patterningBackendName(), itself defaulting to the
-  /// 2-color SADP cut-process backend -- which leaves every code path and
-  /// output byte identical to the pre-backend router.
+  /// recoloring pass, and mask synthesis the run uses. Null = the 2-color
+  /// SADP cut-process backend, which leaves every code path and output
+  /// byte identical to the pre-backend router.
   const PatterningBackend* backend = nullptr;
   /// Timing-driven mode (DESIGN.md §5.14): run net-level static timing
   /// over the netlist (route/timing.hpp), order nets most-critical-first,
@@ -111,7 +121,6 @@ struct RouterOptions {
   bool negotiate = false;
   int maxNegotiateIters = 16;     ///< negotiation iteration cap
   float historyIncrement = 1.0f;  ///< history added per overflowed cell/iter
-  float presentFactor = 2.0f;     ///< present cost per extra sharer of a cell
   TimingOptions timing;           ///< delay model / period for timingDriven
 };
 
@@ -142,6 +151,16 @@ struct RoutingStats {
     return totalNets == 0 ? 0.0 : 100.0 * routedNets / totalNets;
   }
 };
+
+/// One run's result row, as sadp_route_cli --csv appends it and a service
+/// route reports it (no trailing newline): nets, routability, side overlay
+/// nm, cut conflicts, hard overlays, and the thread count, always 1. Runs
+/// that computed slack add worst slack and the negotiation iterations and
+/// overflow; other rows stay byte-identical to older builds.
+std::string runCsvRow(const RoutingStats& stats, const OverlayReport& report);
+/// Exit status of a run: 0 when no cut conflict or hard overlay remains,
+/// else 3 (a legal routing outcome, not an error).
+int runExitCode(const OverlayReport& report);
 
 class OverlayAwareRouter {
  public:
@@ -175,12 +194,12 @@ class OverlayAwareRouter {
   /// Aggregate physical report over all layers.
   OverlayReport physicalReport(const DecomposeOptions& opts = {}) const;
 
-  /// Post-routing violation repair (extends the Type-B removal of §III-D):
-  /// locates residual cut conflicts and hard overlays on the full-chip
-  /// masks, first flipping involved nets' colors, then escalating to a
-  /// targeted rip-up & re-route of an involved net. physicalReport()
-  /// counts what remains.
-  void repairViolations(int maxPasses = 3);
+  /// Post-routing violation repair (extends the Type-B removal of §III-D;
+  /// route/repair.cpp): up to kRepairPasses passes over the layers, each
+  /// working the layer's residual cut-conflict and hard-overlay boxes
+  /// with color flips of involved nets, then a targeted rip-up &
+  /// re-route. physicalReport() counts what remains.
+  void repairViolations();
 
  private:
   bool routeNet(const Net& net, bool freshPenaltyField = true);
@@ -230,10 +249,10 @@ class OverlayAwareRouter {
                         const PenaltyField* extra, const T2bField* t2b) const;
   /// Marks a track-space region as possibly differing from the run the
   /// memo recorded (inflated by the T2b mark reach). No-op unless
-  /// opts_.trustChangedRegions.
+  /// opts_.replay is set.
   void noteChanged(const Rect& trBox);
   /// First divergence of `net` this run: its previous-run extent
-  /// (opts_.prevNetBoxes) becomes stale state for later footprints.
+  /// (opts_.replay->prevNetBoxes) becomes stale state for later footprints.
   void noteDiverged(NetId net);
   /// True when fp's probed bbox misses every changed region, i.e. the
   /// per-cell footprint walk is provably redundant.
@@ -245,6 +264,19 @@ class OverlayAwareRouter {
   /// DecomposeOptions for router-internal decomposeLayerShared calls:
   /// binds ctx_ and the shared mask cache.
   DecomposeOptions internalDecomposeOpts() const;
+  /// The color a net's fragments print with on `g`: Core when unassigned.
+  static Color maskColor(const OverlayConstraintGraph& g, NetId net);
+  /// Fragments of `layer` in the track window, in fragmentsInWindow order,
+  /// each with its net's mask color; `skipNet`'s own are left out.
+  std::vector<ColoredFragment> windowFragments(
+      int layer, const Rect& windowTr, NetId skipNet = kInvalidNet) const;
+  /// Cut conflicts plus hard overlays of the window's decomposition: the
+  /// local measure every repair step must strictly lower.
+  int windowViolations(int layer, const Rect& windowTr) const;
+  /// One layer's step of a repair pass over its sign-off violation boxes
+  /// (nm): flips, then a reroute, then (last pass, when enabled) a
+  /// sacrifice, per box. Returns whether anything changed.
+  bool repairLayer(int layer, std::span<const Rect> boxesNm, bool lastPass);
   /// Rips up a routed net and re-routes it away from `avoidTr` (track box
   /// on `layer`); restores the old route if no better one is found.
   bool rerouteAway(const Net& net, const Rect& avoidTr, int layer);
@@ -295,7 +327,7 @@ class OverlayAwareRouter {
   /// Regions whose grid state may differ from the memo-recorded run
   /// (track space, T2b halo already applied). Only grows within a run.
   std::vector<Rect> changedBoxes_;
-  std::vector<char> divergedNoted_;  ///< per-net: prevNetBoxes noted
+  std::vector<char> divergedNoted_;  ///< per-net: prev box noted
   /// Running hash of every ripUpField_ mutation since construction.
   std::uint64_t ripUpHistoryHash_ = 0;
   /// Per-net criticality in 1/64 steps; empty = timing off (all zero).

@@ -23,8 +23,6 @@
 // under it.
 #pragma once
 
-#include <string>
-
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 
@@ -46,19 +44,6 @@ class RunContext {
   /// No-op: a run always executes on its calling thread. Kept only
   /// because perfbench/ still calls it; delete it with those calls.
   void setThreadCount(int) {}
-
-  /// Default patterning backend for work run under this context, by
-  /// registry name ("sadp2", "tpl3"; empty = sadp2). Consumed by the
-  /// router when RouterOptions::backend is null -- the service sets it per
-  /// session from the load request, the CLI from --backend. Install
-  /// between runs only: a plain string, deliberately unsynchronized, like
-  /// every other between-runs knob here.
-  const std::string& patterningBackendName() const {
-    return patterningBackend_;
-  }
-  void setPatterningBackendName(std::string name) {
-    patterningBackend_ = std::move(name);
-  }
 
   /// Restores the context to a fresh-run state: zeroes every counter and
   /// histogram and drops trace aggregates/events. Only valid between runs
@@ -97,7 +82,6 @@ class RunContext {
   MetricsRegistry* metrics_;  ///< owned unless this is the default context
   TraceSink* trace_;          ///< owned unless this is the default context
   bool ownsRegistries_;
-  std::string patterningBackend_;  ///< empty = sadp2; see accessor above
 };
 
 }  // namespace sadp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "ocg/scenario.hpp"
 #include "sadp/decompose.hpp"
@@ -146,8 +145,7 @@ std::optional<RouteOutcome> Session::applyEdit(const EditRequest& e,
   // radius cannot change scenario relations with the edit; the cut-check
   // window is added because the windowed decompose reads that much more.
   const DesignRules rules{};  // the generator's rules (benchmark.cpp)
-  const Track radius =
-      independenceRadiusTracks(rules) + routerOpts_.cutCheckWindowTracks;
+  const Track radius = independenceRadiusTracks(rules) + kCutCheckWindowTracks;
   const Rect infl = dirty.inflated(radius);
   int dropped = 0;
   if (memo_.hasStored(e.net)) {
@@ -196,12 +194,13 @@ RouteOutcome Session::runOnce(int netsDirty, const Rect& dirtyTr,
     // changed state; stale extents of nets that diverge during the replay
     // are added by the router itself, looked up here from the previous
     // run's pin+path boxes under the renumbered ids.
-    ro.trustChangedRegions = true;
-    if (!dirtyTr.empty()) ro.changedSeed.push_back(dirtyTr);
-    ro.prevNetBoxes.reserve(nets_.size());
+    ReplayRegions& replay = ro.replay.emplace();
+    if (!dirtyTr.empty()) replay.changedSeed.push_back(dirtyTr);
+    replay.prevNetBoxes.reserve(nets_.size());
     for (const NetSpec& s : nets_) {
       const auto it = lastBox_.find(s.name);
-      ro.prevNetBoxes.push_back(it == lastBox_.end() ? Rect{} : it->second);
+      replay.prevNetBoxes.push_back(it == lastBox_.end() ? Rect{}
+                                                         : it->second);
     }
   }
   DecomposeOptions dopts = decomposeOpts_;
@@ -258,17 +257,7 @@ RouteOutcome Session::runOnce(int netsDirty, const Rect& dirtyTr,
   }
   out.designFp = fp;
 
-  // Must match sadp_route_cli's --csv row, whose thread-count column is
-  // always 1: a run executes on one thread.
-  std::ostringstream row;
-  row << out.stats.totalNets << ',' << out.stats.routability() << ','
-      << out.report.sideOverlayNm << ',' << out.report.cutConflicts() << ','
-      << out.report.hardOverlays << ",1";
-  if (out.stats.timingValid) {
-    row << ',' << out.stats.worstSlack << ',' << out.stats.negotiateIters
-        << ',' << out.stats.negotiateOverflow;
-  }
-  out.csvRow = row.str();
+  out.csvRow = runCsvRow(out.stats, out.report);
 
   out.searches = memo_.misses();
   out.memoHits = memo_.hits();
@@ -280,8 +269,7 @@ RouteOutcome Session::runOnce(int netsDirty, const Rect& dirtyTr,
   out.netsDirty = netsDirty;
   out.dirtyTr = dirtyTr;
   out.phases = spanAggregates();  // reads the bound session context
-  out.exitCode =
-      out.report.cutConflicts() == 0 && out.report.hardOverlays == 0 ? 0 : 3;
+  out.exitCode = runExitCode(out.report);
   out.wallMs = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
                    .count();

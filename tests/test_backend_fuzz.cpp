@@ -56,11 +56,10 @@ struct RouteDigest {
   std::vector<CounterSample> counters;
 };
 
-enum class Select { Default, ExplicitOption, ContextName };
+enum class Select { Default, ExplicitOption };
 
 RouteDigest routeOnce(const BenchmarkSpec& spec, Select how) {
   RunContext ctx;
-  if (how == Select::ContextName) ctx.setPatterningBackendName("sadp2");
   BenchmarkInstance inst = makeBenchmark(spec);
   RouterOptions ro;
   if (how == Select::ExplicitOption) ro.backend = &sadp2Backend();
@@ -109,8 +108,6 @@ TEST(BackendFuzz, ExplicitSadp2ByteIdenticalToDefault) {
     const std::string tag = "seed " + std::to_string(seed);
     expectSameDigest(routeOnce(spec, Select::ExplicitOption), ref,
                      tag + " explicit-option");
-    expectSameDigest(routeOnce(spec, Select::ContextName), ref,
-                     tag + " context-name");
   }
 }
 
