@@ -105,11 +105,6 @@ struct Rect {
     return {std::min(xlo, r.xlo), std::min(ylo, r.ylo), std::max(xhi, r.xhi),
             std::max(yhi, r.yhi)};
   }
-
-  static constexpr Rect fromPoints(const Pt& a, const Pt& b) {
-    return {std::min(a.x, b.x), std::min(a.y, b.y), std::max(a.x, b.x),
-            std::max(a.y, b.y)};
-  }
 };
 
 std::ostream& operator<<(std::ostream& os, const Rect& r);

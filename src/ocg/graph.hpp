@@ -15,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ocg/group_dsu.hpp"
+#include "ocg/parity_dsu.hpp"
 #include "ocg/patterning_spec.hpp"
 #include "ocg/scenario.hpp"
 
@@ -82,7 +82,6 @@ class OverlayConstraintGraph {
   /// Assigns the color of `net`; the whole hard-connected class moves with
   /// it so hard constraints stay satisfied by construction.
   void setColor(NetId net, Color c);
-  bool isColored(NetId net) const { return colorOf(net) != Color::Unassigned; }
 
   /// Pseudo-coloring (Algorithm 1 line 11): picks the class color for
   /// `net` minimizing the summed cost of all edges incident to the class,
@@ -130,7 +129,6 @@ class OverlayConstraintGraph {
                      const std::function<void(std::size_t)>& fn) const;
   /// Hard-class representative and parity of a vertex (const lookup).
   std::pair<std::uint32_t, std::uint8_t> hardClassOf(std::uint32_t v) const;
-  const std::vector<NetId>& vertexNets() const { return nets_; }
 
   /// Applies colors computed externally (color flipping): colors[i] is the
   /// color for vertex i; Unassigned entries are left untouched.
@@ -157,11 +155,11 @@ class OverlayConstraintGraph {
   std::unordered_map<NetId, std::uint32_t> idx_;  // net -> vertex
   std::vector<OcgEdge> edges_;
   std::vector<std::vector<std::uint32_t>> adj_;  // vertex -> edge indices
-  /// Hard structure over Z_k deltas. For k == 2 both relations live here
-  /// (rel 1 = must-differ); for k >= 3 only must-same edges do (delta 0 --
-  /// "differ" is not a group relation) and must-differ edges are tracked in
-  /// diffEdges_, so every class member always has delta 0 to its root.
-  mutable GroupDsu<2> hard_;
+  /// Hard structure as parities. For k == 2 both relations live here
+  /// (rel 1 = must-differ); for k >= 3 only must-same edges do (rel 0 --
+  /// "differ" is not a single relation there) and must-differ edges are
+  /// tracked in diffEdges_, so every class member has parity 0 to its root.
+  mutable ParityDsu hard_;
   /// k >= 3 only: indices of alive hard must-differ edges.
   std::vector<std::uint32_t> diffEdges_;
   /// Color per hard-class representative; vertex color = this ^ parity.

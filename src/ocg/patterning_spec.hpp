@@ -24,9 +24,6 @@ namespace sadp {
 struct PatterningSpec {
   /// Number of assignable colors (mask planes), k >= 2.
   int colorCount = 2;
-  /// Stable identity folded into mask-cache digests; must change whenever
-  /// the cost tables below change meaning.
-  std::uint64_t id = 0;
   const char* name = "sadp2";
 
   // k >= 3 hooks. Unused (and may be null) when colorCount == 2.
@@ -41,8 +38,8 @@ struct PatterningSpec {
   bool (*material)(const Classification&) = nullptr;
   /// Hard relation: -1 none, 0 must-be-same, 1 must-differ. Must agree
   /// with pairOverlay's kHardCost entries. Note that for k >= 3
-  /// "must-differ" is not a Z_k group relation, so the OCG tracks such
-  /// edges outside the group DSU (equality classes only).
+  /// "must-differ" is not a single parity relation, so the OCG tracks such
+  /// edges outside its ParityDsu (equality classes only).
   int (*hardRelation)(const Classification&) = nullptr;
 };
 

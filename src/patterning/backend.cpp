@@ -20,7 +20,6 @@ class Sadp2Backend final : public PatterningBackend {
  public:
   const PatterningSpec& spec() const override {
     static const PatterningSpec kSpec{/*colorCount=*/2,
-                                      /*id=*/kSadpCutSynthId,
                                       /*name=*/"sadp2",
                                       /*pairOverlay=*/nullptr,
                                       /*pairCutRisk=*/nullptr,
@@ -34,7 +33,6 @@ class Sadp2Backend final : public PatterningBackend {
   }
 
   std::uint64_t synthId() const override { return kSadpCutSynthId; }
-  int maskCount() const override { return 0; }  // the named SADP planes
 
   LayerDecomposition synthesize(std::span<const ColoredFragment> frags,
                                 const DesignRules& rules,
@@ -61,6 +59,6 @@ const PatterningBackend* findPatterningBackend(std::string_view name) {
   return nullptr;
 }
 
-const char* patterningBackendNames() { return "sadp2, tpl3"; }
+const char* knownBackendNames() { return "sadp2, tpl3"; }
 
 }  // namespace sadp

@@ -64,6 +64,6 @@ const PatterningBackend& tpl3Backend();
 const PatterningBackend* findPatterningBackend(std::string_view name);
 
 /// Comma-separated registered names, for usage strings and error messages.
-const char* patterningBackendNames();
+const char* knownBackendNames();
 
 }  // namespace sadp

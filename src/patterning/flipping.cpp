@@ -6,7 +6,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "ocg/overlay_model.hpp"
 
 namespace sadp {
 
@@ -398,18 +397,6 @@ FlipStats colorFlip(OverlayConstraintGraph& g) {
   }
   g.applyColors(vertexColors);
   return stats;
-}
-
-FlipStats colorFlipAll(OverlayModel& model) {
-  FlipStats total;
-  for (int layer = 0; layer < model.layers(); ++layer) {
-    const FlipStats s = colorFlip(model.graph(layer));
-    total.costBefore += s.costBefore;
-    total.costAfter += s.costAfter;
-    total.components += s.components;
-    total.componentsImproved += s.componentsImproved;
-  }
-  return total;
 }
 
 }  // namespace sadp

@@ -81,8 +81,4 @@ struct FlipStats {
 /// options symmetrically).
 FlipStats colorFlip(OverlayConstraintGraph& g);
 
-/// Convenience: flips every layer of an overlay model; returns summed stats.
-class OverlayModel;
-FlipStats colorFlipAll(OverlayModel& model);
-
 }  // namespace sadp

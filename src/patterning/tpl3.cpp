@@ -2,7 +2,7 @@
 //
 // Reinterprets the scenario taxonomy over three exposure masks, LPT-style
 // (TRIAD; Yu et al.): every hard scenario becomes "must use different
-// masks", so the hard structure is equality-free -- the group DSU holds
+// masks", so the hard structure is equality-free -- the ParityDsu holds
 // only singleton classes and an odd cycle of must-differ edges, fatal
 // under two colors, is 3-colorable. That is exactly the E5/E6 unroutable
 // residue of the SADP cut process this backend exists to absorb.
@@ -265,7 +265,6 @@ class Tpl3Backend final : public PatterningBackend {
  public:
   const PatterningSpec& spec() const override {
     static const PatterningSpec kSpec{/*colorCount=*/3,
-                                      /*id=*/kTpl3SynthId,
                                       /*name=*/"tpl3",
                                       /*pairOverlay=*/&tplPairOverlay,
                                       /*pairCutRisk=*/&tplPairCutRisk,
@@ -277,7 +276,6 @@ class Tpl3Backend final : public PatterningBackend {
   FlipStats recolor(OverlayConstraintGraph& g) const override;
 
   std::uint64_t synthId() const override { return kTpl3SynthId; }
-  int maskCount() const override { return 3; }
 
   LayerDecomposition synthesize(std::span<const ColoredFragment> frags,
                                 const DesignRules& rules,

@@ -48,10 +48,9 @@ struct SearchCellRead {
 struct SearchFootprint {
   std::vector<SearchCellRead> reads;
   /// Track-space bounding box of every probed node (x/y union across
-  /// layers). When the router can prove no grid state inside this box has
-  /// changed since recording (RouterOptions::trustChangedRegions), the
-  /// per-cell walk is skipped: a search cannot observe an edit its probes
-  /// never reached.
+  /// layers). On an incremental replay (RouterOptions::replay set) whose
+  /// changed regions all miss this box, the per-cell walk is skipped: a
+  /// search cannot observe an edit its probes never reached.
   Rect bbox;
   bool overflow = false;
 };

@@ -123,9 +123,6 @@ class PatterningSynthesizer {
   /// Stable identity folded into MaskCache keys. Must change whenever
   /// synthesize() output could change for identical inputs.
   virtual std::uint64_t synthId() const = 0;
-  /// Number of exposure planes synthesize() emits in LayerDecomposition::
-  /// masks (0 for the SADP cut process, which uses the named planes).
-  virtual int maskCount() const = 0;
   /// Builds the layer's mask planes and measurement. Must NOT consult
   /// opts.synth (the caller already dispatched) and must be deterministic.
   virtual LayerDecomposition synthesize(std::span<const ColoredFragment> frags,

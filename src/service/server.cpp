@@ -613,7 +613,7 @@ JsonValue RouteServer::handleLoad(const JsonValue& req,
       *errCode = "bad_request";
       return errResp(&req, "bad_request",
                      std::string("unknown backend (expected one of: ") +
-                         patterningBackendNames() + ")");
+                         knownBackendNames() + ")");
     }
     routerOpts.backend = backend;
   }

@@ -18,48 +18,33 @@
 #include <vector>
 
 #include "ocg/graph.hpp"
-#include "ocg/group_dsu.hpp"
+#include "ocg/parity_dsu.hpp"
 #include "patterning/backend.hpp"
 #include "patterning/flipping.hpp"
 
 namespace sadp {
 namespace {
 
-// ---- GroupDsu<3> unit coverage ---------------------------------------------
+// ---- ParityDsu against a ground-truth labeling ----------------------------
 
-TEST(GroupDsu3, ModularRelationsCompose) {
-  GroupDsu<3> d;
-  EXPECT_TRUE(d.unite(0, 1, 1));  // c1 = c0 + 1
-  EXPECT_TRUE(d.unite(1, 2, 1));  // c2 = c1 + 1
-  EXPECT_TRUE(d.unite(0, 2, 2));  // consistent: c2 = c0 + 2
-  EXPECT_FALSE(d.unite(0, 2, 1));  // contradiction
-  EXPECT_TRUE(d.contradicts(0, 2, 0));
-  EXPECT_FALSE(d.contradicts(0, 2, 2));
-  // The failed unite must not have corrupted the class.
-  auto [r0, d0] = d.find(0);
-  auto [r2, d2] = d.find(2);
-  EXPECT_EQ(r0, r2);
-  EXPECT_EQ((d2 + 3 - d0) % 3, 2u);
-}
-
-TEST(GroupDsu3, RandomRelationsMatchGroundTruthLabeling) {
+TEST(ParityDsu, RandomRelationsMatchGroundTruthLabeling) {
   std::mt19937 rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = 2 + rng() % 11;
     std::vector<std::uint8_t> label(n);
-    for (auto& l : label) l = std::uint8_t(rng() % 3);
-    GroupDsu<3> d;
+    for (auto& l : label) l = std::uint8_t(rng() % 2);
+    ParityDsu d;
     for (int e = 0; e < 24; ++e) {
       const std::size_t u = rng() % n;
       const std::size_t v = rng() % n;
       if (u == v) continue;
-      const std::uint8_t rel = std::uint8_t((label[v] + 3 - label[u]) % 3);
+      const std::uint8_t rel = label[u] ^ label[v];
       // Relations drawn from one global labeling can never contradict.
       ASSERT_TRUE(d.unite(u, v, rel)) << "trial " << trial;
       auto [ru, du] = d.find(u);
       auto [rv, dv] = d.find(v);
       ASSERT_EQ(ru, rv);
-      ASSERT_EQ((dv + 3 - du) % 3, rel % 3);
+      ASSERT_EQ(du ^ dv, rel);
     }
     // A deliberately wrong relation inside one class must be rejected.
     const std::size_t u = rng() % n;
@@ -68,8 +53,9 @@ TEST(GroupDsu3, RandomRelationsMatchGroundTruthLabeling) {
       auto [ru, du] = d.find(u);
       auto [rv, dv] = d.find(v);
       if (ru == rv) {
-        const std::uint8_t good = std::uint8_t((dv + 3 - du) % 3);
-        EXPECT_FALSE(d.unite(u, v, std::uint8_t((good + 1) % 3)));
+        const std::uint8_t wrong = std::uint8_t((du ^ dv) ^ 1u);
+        EXPECT_TRUE(d.contradicts(u, v, wrong));
+        EXPECT_FALSE(d.unite(u, v, wrong));
       }
     }
   }

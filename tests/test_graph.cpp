@@ -214,7 +214,7 @@ std::optional<std::uint8_t> referenceParity(const Classification& cls) {
 RebuildReference wholeGraphRebuild(const OverlayConstraintGraph& g,
                                    const std::vector<Color>& snapshot) {
   const std::size_t n = g.vertexCount();
-  GroupDsu<2> dsu;
+  ParityDsu dsu;
   if (n > 0) dsu.ensure(n - 1);
   RebuildReference ref;
   const PatterningSpec* spec = g.patterningSpec();
@@ -267,7 +267,6 @@ std::int64_t mixedPairOverlay(const Classification& cls, int ia, int ib) {
 }
 bool mixedMaterial(const Classification& cls) { return !cls.independent(); }
 const PatterningSpec kMixedK3{/*colorCount=*/3,
-                              /*id=*/0x6d69786564330001ull,
                               /*name=*/"mixed3",
                               /*pairOverlay=*/&mixedPairOverlay,
                               /*pairCutRisk=*/nullptr,
