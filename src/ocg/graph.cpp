@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <utility>
 
 namespace sadp {
 
@@ -24,20 +25,27 @@ std::optional<std::uint8_t> hardParity(const Classification& cls) {
 }  // namespace
 
 std::uint32_t OverlayConstraintGraph::vertexFor(NetId net) {
-  auto it = idx_.find(net);
-  if (it != idx_.end()) return it->second;
+  assert(net >= 0);
+  if (std::size_t(net) >= idx_.size()) {
+    idx_.resize(std::size_t(net) + 1, kNoVertex);
+  }
+  std::uint32_t& slot = idx_[std::size_t(net)];
+  if (slot != kNoVertex) return slot;
   const std::uint32_t v = std::uint32_t(nets_.size());
+  slot = v;
   nets_.push_back(net);
   adj_.emplace_back();
-  idx_.emplace(net, v);
   hard_.ensure(v);
-  classMembers_[v] = {v};
+  classColor_.push_back(Color::Unassigned);
+  classMembers_.push_back({v});
+  priors_.push_back({0, 0});
   return v;
 }
 
 std::int64_t OverlayConstraintGraph::findVertex(NetId net) const {
-  auto it = idx_.find(net);
-  return it == idx_.end() ? -1 : std::int64_t(it->second);
+  if (net < 0 || std::size_t(net) >= idx_.size()) return -1;
+  const std::uint32_t v = idx_[std::size_t(net)];
+  return v == kNoVertex ? -1 : std::int64_t(v);
 }
 
 int OverlayConstraintGraph::hardRelationOf(const Classification& cls) const {
@@ -114,10 +122,7 @@ bool OverlayConstraintGraph::addScenario(NetId a, NetId b,
     const std::uint32_t winner = std::uint32_t(newRoot);
     const std::uint32_t loser =
         (winner == ru) ? std::uint32_t(rv) : std::uint32_t(ru);
-    auto& win = classMembers_[winner];
-    auto& lose = classMembers_[loser];
-    win.insert(win.end(), lose.begin(), lose.end());
-    classMembers_.erase(loser);
+    mergeMembers(winner, loser);
     recountDiffViolations();  // the merge may close must-differ edges
     return hardViolations_ <= before;
   }
@@ -139,19 +144,16 @@ bool OverlayConstraintGraph::addScenario(NetId a, NetId b,
     const std::uint32_t winner = std::uint32_t(newRoot);
     const std::uint32_t loser = (winner == ru) ? std::uint32_t(rv)
                                                : std::uint32_t(ru);
-    auto& win = classMembers_[winner];
-    auto& lose = classMembers_[loser];
-    win.insert(win.end(), lose.begin(), lose.end());
-    classMembers_.erase(loser);
+    mergeMembers(winner, loser);
     (void)np;
   }
   return true;
 }
 
 void OverlayConstraintGraph::removeNet(NetId net) {
-  auto it = idx_.find(net);
-  if (it == idx_.end()) return;
-  const std::uint32_t v = it->second;
+  const std::int64_t found = findVertex(net);
+  if (found < 0) return;
+  const std::uint32_t v = std::uint32_t(found);
   bool removedHard = false;
   for (std::uint32_t ei : adj_[v]) {
     OcgEdge& e = edges_[ei];
@@ -167,13 +169,14 @@ void OverlayConstraintGraph::removeNet(NetId net) {
   if (removedHard) {
     // Only v's class can split: every other class keeps its edges, so the
     // rebuild is local to it and re-roots v's (possibly root) entry too.
-    auto node = classMembers_.extract(std::uint32_t(hard_.find(v).first));
-    rebuildClass(node ? std::move(node.mapped())
-                      : std::vector<std::uint32_t>{v});
+    std::vector<std::uint32_t> members =
+        std::exchange(classMembers_[hard_.find(v).first], {});
+    if (members.empty()) members = {v};
+    rebuildClass(std::move(members));
   } else {
     // Without hard edges the vertex is a singleton class; dropping its
-    // color entry cannot affect anyone else.
-    classColor_.erase(v);
+    // color cannot affect anyone else.
+    classColor_[v] = Color::Unassigned;
   }
 }
 
@@ -200,7 +203,7 @@ void OverlayConstraintGraph::rebuildClass(std::vector<std::uint32_t> members) {
                    classEdges.end());
   for (std::uint32_t w : members) {
     hard_.reset(w);
-    classColor_.erase(w);
+    classColor_[w] = Color::Unassigned;
   }
   for (std::uint32_t ei : classEdges) {
     OcgEdge& e = edges_[ei];
@@ -231,19 +234,23 @@ void OverlayConstraintGraph::rebuildClass(std::vector<std::uint32_t> members) {
   }
 }
 
+void OverlayConstraintGraph::mergeMembers(std::uint32_t winner,
+                                          std::uint32_t loser) {
+  std::vector<std::uint32_t> lose = std::exchange(classMembers_[loser], {});
+  std::vector<std::uint32_t>& win = classMembers_[winner];
+  win.insert(win.end(), lose.begin(), lose.end());
+}
+
 Color OverlayConstraintGraph::classColorOf(std::uint32_t vertex) const {
   auto [root, par] = hard_.find(vertex);
-  auto it = classColor_.find(std::uint32_t(root));
-  if (it == classColor_.end() || it->second == Color::Unassigned) {
-    return Color::Unassigned;
-  }
-  return par ? flippedColor(it->second) : it->second;
+  const Color c = classColor_[root];
+  if (c == Color::Unassigned) return Color::Unassigned;
+  return par ? flippedColor(c) : c;
 }
 
 Color OverlayConstraintGraph::colorOf(NetId net) const {
-  auto it = idx_.find(net);
-  if (it == idx_.end()) return Color::Unassigned;
-  return classColorOf(it->second);
+  const std::int64_t v = findVertex(net);
+  return v < 0 ? Color::Unassigned : classColorOf(std::uint32_t(v));
 }
 
 void OverlayConstraintGraph::setColor(NetId net, Color c) {
@@ -312,10 +319,9 @@ Color OverlayConstraintGraph::pseudoColor(NetId net) {
   // edges use the neighbor's current color; intra-class edges (fixed
   // relative parity) still depend on the root color for asymmetric rules.
   std::int64_t cost[3] = {0, 0, 0};
-  auto membersIt = classMembers_.find(std::uint32_t(root));
   const std::vector<std::uint32_t> fallback{v};
   const std::vector<std::uint32_t>& members =
-      membersIt != classMembers_.end() ? membersIt->second : fallback;
+      classMembers_[root].empty() ? fallback : classMembers_[root];
   for (std::uint32_t w : members) {
     auto [rw, pw] = hard_.find(w);
     for (std::uint32_t ei : adj_[w]) {
@@ -389,21 +395,14 @@ Color OverlayConstraintGraph::firstFitColor(NetId net) {
 
 void OverlayConstraintGraph::setPrior(NetId net, std::int64_t corePrior,
                                       std::int64_t secondPrior) {
-  const std::uint32_t v = vertexFor(net);
-  if (corePrior == 0 && secondPrior == 0) {
-    priors_.erase(v);
-  } else {
-    priors_[v] = {corePrior, secondPrior};
-  }
+  priors_[vertexFor(net)] = {corePrior, secondPrior};
 }
 
 std::int64_t OverlayConstraintGraph::priorOf(std::uint32_t vertex,
                                              Color c) const {
-  auto it = priors_.find(vertex);
-  if (it == priors_.end()) return 0;
   const int i = colorIndex(c);
   if (i < 0 || i > 1) return 0;  // only Core/Second carry priors
-  return it->second[i];
+  return priors_[vertex][std::size_t(i)];
 }
 
 std::int64_t OverlayConstraintGraph::totalOverlayUnits() const {
@@ -415,10 +414,10 @@ std::int64_t OverlayConstraintGraph::totalOverlayUnits() const {
 }
 
 std::int64_t OverlayConstraintGraph::overlayUnitsOfNet(NetId net) const {
-  auto it = idx_.find(net);
-  if (it == idx_.end()) return 0;
+  const std::int64_t v = findVertex(net);
+  if (v < 0) return 0;
   std::int64_t total = 0;
-  for (std::uint32_t ei : adj_[it->second]) {
+  for (std::uint32_t ei : adj_[std::size_t(v)]) {
     const OcgEdge& e = edges_[ei];
     if (e.alive) total += edgeOverlayUnits(e);
   }
@@ -426,14 +425,13 @@ std::int64_t OverlayConstraintGraph::overlayUnitsOfNet(NetId net) const {
 }
 
 std::int64_t OverlayConstraintGraph::classOverlayUnits(NetId net) const {
-  auto it = idx_.find(net);
-  if (it == idx_.end()) return 0;
-  auto [root, par] = hard_.find(it->second);
-  (void)par;
-  auto membersIt = classMembers_.find(std::uint32_t(root));
-  if (membersIt == classMembers_.end()) return overlayUnitsOfNet(net);
+  const std::int64_t v = findVertex(net);
+  if (v < 0) return 0;
+  const std::vector<std::uint32_t>& members =
+      classMembers_[hard_.find(std::uint32_t(v)).first];
+  if (members.empty()) return overlayUnitsOfNet(net);
   std::vector<std::uint32_t> eids;
-  for (std::uint32_t w : membersIt->second) {
+  for (std::uint32_t w : members) {
     eids.insert(eids.end(), adj_[w].begin(), adj_[w].end());
   }
   std::sort(eids.begin(), eids.end());

@@ -10,9 +10,9 @@
 // and are colored as a unit.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "ocg/parity_dsu.hpp"
@@ -142,6 +142,8 @@ class OverlayConstraintGraph {
   /// edge index, and re-roots colors and member lists. The result equals a
   /// whole-graph rebuild (DESIGN.md §5.4).
   void rebuildClass(std::vector<std::uint32_t> members);
+  /// Appends the loser class's member list to the winner's after a union.
+  void mergeMembers(std::uint32_t winner, std::uint32_t loser);
   Color classColorOf(std::uint32_t vertex) const;
   /// k >= 3 only: recounts must-differ hard edges whose endpoints share an
   /// equality class (each one is a hard-overlay violation).
@@ -151,8 +153,10 @@ class OverlayConstraintGraph {
   /// spec_->hardRelation.
   int hardRelationOf(const Classification& cls) const;
 
-  std::vector<NetId> nets_;                       // vertex -> net
-  std::unordered_map<NetId, std::uint32_t> idx_;  // net -> vertex
+  static constexpr std::uint32_t kNoVertex = ~std::uint32_t(0);
+
+  std::vector<NetId> nets_;             // vertex -> net
+  std::vector<std::uint32_t> idx_;      // net -> vertex, kNoVertex if absent
   std::vector<OcgEdge> edges_;
   std::vector<std::vector<std::uint32_t>> adj_;  // vertex -> edge indices
   /// Hard structure as parities. For k == 2 both relations live here
@@ -162,13 +166,16 @@ class OverlayConstraintGraph {
   mutable ParityDsu hard_;
   /// k >= 3 only: indices of alive hard must-differ edges.
   std::vector<std::uint32_t> diffEdges_;
-  /// Color per hard-class representative; vertex color = this ^ parity.
-  std::unordered_map<std::uint32_t, Color> classColor_;
-  /// Members of each hard class, keyed by representative (kept in sync by
-  /// addScenario/rebuild so pseudoColor is O(class degree), not O(V)).
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> classMembers_;
-  /// Optional per-vertex color priors {core, second}; Third has no prior.
-  std::unordered_map<std::uint32_t, std::array<std::int64_t, 2>> priors_;
+  /// Color per hard-class representative, indexed by vertex (Unassigned
+  /// for non-roots and uncolored classes); vertex color = this ^ parity.
+  std::vector<Color> classColor_;
+  /// Members of each hard class, indexed by its representative; empty for
+  /// non-roots (kept in sync by addScenario/rebuild so pseudoColor is
+  /// O(class degree), not O(V)).
+  std::vector<std::vector<std::uint32_t>> classMembers_;
+  /// Per-vertex color priors {core, second}, {0, 0} when unset; Third has
+  /// no prior.
+  std::vector<std::array<std::int64_t, 2>> priors_;
   const PatterningSpec* spec_ = nullptr;
   int k_ = 2;
   int hardViolations_ = 0;

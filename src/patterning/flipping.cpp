@@ -27,15 +27,18 @@ ReducedGraph reduceGraph(const OverlayConstraintGraph& g) {
   rg.classIndexOfVertex.resize(n);
   rg.parityOfVertex.resize(n);
 
-  // Dense-index the class roots.
-  std::unordered_map<std::uint32_t, std::uint32_t> rootToClass;
+  // Dense-index the class roots in first-seen vertex order.
+  constexpr std::uint32_t kNoClass = ~std::uint32_t(0);
+  std::vector<std::uint32_t> rootToClass(n, kNoClass);
   for (std::uint32_t v = 0; v < n; ++v) {
     auto [root, par] = g.hardClassOf(v);
-    auto [it, inserted] =
-        rootToClass.try_emplace(root, std::uint32_t(rootToClass.size()));
-    rg.classIndexOfVertex[v] = it->second;
+    std::uint32_t& cls = rootToClass[root];
+    if (cls == kNoClass) {
+      cls = std::uint32_t(rg.classColor.size());
+      rg.classColor.push_back(Color::Unassigned);
+    }
+    rg.classIndexOfVertex[v] = cls;
     rg.parityOfVertex[v] = par;
-    if (inserted) rg.classColor.push_back(Color::Unassigned);
   }
   // Class color = color of any member XOR its parity; read through roots.
   for (std::uint32_t v = 0; v < n; ++v) {
