@@ -62,14 +62,14 @@ struct SearchMemoKey {
   std::vector<GridNode> sources;
   std::vector<GridNode> targets;
   AStarParams params;
-  bool usedPenalty = false;
   bool usedT2b = false;
   /// Hash of the rip-up field's full mutation history (every add and
   /// clear since router construction) at search time; 0 when the search
-  /// does not read the field. The field is rebuilt from empty by a
-  /// deterministic event sequence each run, so equal history means equal
-  /// contents -- which lets the changed-region fast path cover
-  /// penalty-reading searches without walking their recorded reads.
+  /// does not read the field or reads it empty, which searches the same
+  /// costs. The field is rebuilt from empty by a deterministic event
+  /// sequence each run, so equal history means equal contents -- which
+  /// lets the changed-region fast path cover penalty-reading searches
+  /// without walking their recorded reads.
   std::uint64_t penaltyHistory = 0;
 
   friend bool operator==(const SearchMemoKey&, const SearchMemoKey&) = default;
