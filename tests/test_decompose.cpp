@@ -257,6 +257,57 @@ std::vector<ColoredFragment> randomFragments(std::uint32_t seed) {
   return frags;
 }
 
+/// The merge stage's third-party-metal probe as a per-sample pixel walk:
+/// the reference thirdPartyMetalInProbe must match.
+bool pixelWalkProbe(const Bitmap& target, const Rect& windowNm,
+                    const Rect& probe, const Rect& a, const Rect& b) {
+  for (Nm py = probe.ylo; py < probe.yhi; py += 10) {
+    for (Nm px = probe.xlo; px < probe.xhi; px += 10) {
+      const Pt c{px + 5, py + 5};
+      if (a.contains(c) || b.contains(c)) continue;
+      if (target.get(int((px - windowNm.xlo) / 10),
+                     int((py - windowNm.ylo) / 10))) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(DecomposeMerge, ThirdPartyProbeMatchesPixelWalk) {
+  // Random windows at any nm offset, sparse to dense targets, and probes
+  // and shape pairs that overlap each other and cross the window's edges
+  // (samples left of or below the window read its first column or row).
+  std::mt19937 rng(9001);
+  std::uniform_int_distribution<int> width(1, 200), height(1, 40),
+      origin(-600, 600), extent(0, 260);
+  const double kDensities[] = {0.0005, 0.005, 0.05, 0.3};
+  int hits = 0, misses = 0;
+  for (int trial = 0; trial < 10'000; ++trial) {
+    const int w = width(rng), h = height(rng);
+    const Nm x0 = origin(rng), y0 = origin(rng);
+    const Rect window{x0, y0, Nm(x0 + w * 10), Nm(y0 + h * 10)};
+    std::bernoulli_distribution on(kDensities[trial % 4]);
+    Bitmap target(w, h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) target.set(x, y, on(rng));
+    }
+    std::uniform_int_distribution<int> px(x0 - 150, x0 + w * 10 + 50),
+        py(y0 - 150, y0 + h * 10 + 50);
+    auto randomRect = [&] {
+      const Nm xl = px(rng), yl = py(rng);
+      return Rect{xl, yl, Nm(xl + extent(rng)), Nm(yl + extent(rng))};
+    };
+    const Rect probe = randomRect(), a = randomRect(), b = randomRect();
+    const bool want = pixelWalkProbe(target, window, probe, a, b);
+    ASSERT_EQ(thirdPartyMetalInProbe(target, window, probe, a, b), want)
+        << "trial " << trial;
+    ++(want ? hits : misses);
+  }
+  EXPECT_GT(hits, 1'000);
+  EXPECT_GT(misses, 1'000);
+}
+
 TEST(DecomposeTiling, TiledMatchesWholeWindowReference) {
   // DecomposeOptions::tileWords is ignored: whatever band width a caller
   // asks for, the layer is decomposed over the whole window.

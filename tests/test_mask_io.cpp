@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
+#include <string>
 
 namespace sadp {
 namespace {
@@ -69,6 +71,68 @@ TEST(MaskIo, LevelsAreDisjointTargetSpacerCut) {
   }
   for (const Rect& s : spacer) {
     for (const Rect& c : cut) EXPECT_FALSE(s.overlaps(c));
+  }
+}
+
+/// writeMasks' text as an ostream formats it field by field: the reference
+/// the block writer must reproduce byte for byte.
+std::string streamFormattedMasks(const LayerDecomposition& d, int layer) {
+  std::vector<std::pair<std::string, Rect>> records;
+  for (MaskLevel level : {MaskLevel::Target, MaskLevel::CoreMask,
+                          MaskLevel::Spacer, MaskLevel::CutMask}) {
+    for (const Rect& r : extractMaskRects(d, level)) {
+      records.emplace_back(toString(level), r);
+    }
+  }
+  for (std::size_t i = 0; i < d.masks.size(); ++i) {
+    for (const Rect& r : rasterToNmRects(d.masks[i], d.windowNm)) {
+      records.emplace_back("mask" + std::to_string(i), r);
+    }
+  }
+  std::ostringstream os;
+  os << "sadp-masks v1 " << layer << ' ' << records.size() << "\n";
+  for (const auto& [tag, r] : records) {
+    os << tag << ' ' << r.xlo << ' ' << r.ylo << ' ' << r.xhi << ' ' << r.yhi
+       << "\n";
+  }
+  return os.str();
+}
+
+Bitmap randomPlane(int w, int h, double density, std::mt19937& rng) {
+  std::bernoulli_distribution on(density);
+  Bitmap b(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) b.set(x, y, on(rng));
+  }
+  return b;
+}
+
+TEST(MaskIo, WriterMatchesStreamFormattedReference) {
+  // Random planes over windows on both sides of the origin, some with
+  // k-patterning exposure planes, some large enough to span several of
+  // the writer's output blocks.
+  std::mt19937 rng(4242);
+  std::uniform_int_distribution<int> width(1, 400), height(1, 80),
+      origin(-20'000'000, 20'000'000), layer(-3, 12);
+  std::uniform_real_distribution<double> density(0.05, 0.6);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int w = width(rng), h = height(rng);
+    LayerDecomposition d;
+    const Nm x0 = origin(rng), y0 = origin(rng);
+    d.windowNm = Rect{x0, y0, Nm(x0 + w * 10), Nm(y0 + h * 10)};
+    d.target = randomPlane(w, h, density(rng), rng);
+    d.coreMask = randomPlane(w, h, density(rng), rng);
+    d.spacer = randomPlane(w, h, density(rng), rng);
+    d.cut = randomPlane(w, h, density(rng), rng);
+    if (trial % 3 == 0) {
+      for (int m = 0; m < 3; ++m) {
+        d.masks.push_back(randomPlane(w, h, density(rng), rng));
+      }
+    }
+    const int l = layer(rng);
+    std::ostringstream got;
+    writeMasks(got, d, l);
+    ASSERT_EQ(got.str(), streamFormattedMasks(d, l)) << "trial " << trial;
   }
 }
 
