@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "netlist/benchmark.hpp"
+#include "run/run_context.hpp"
+#include "sadp/mask_cache.hpp"
+#include "trace/metrics.hpp"
 
 namespace sadp {
 namespace {
@@ -140,6 +143,179 @@ TEST(Router, FlippingReducesOverlayOrEqual) {
   OverlayAwareRouter b(gridB, inst.netlist, flip);
   b.run();
   EXPECT_LE(b.model().totalOverlayUnits(), a.model().totalOverlayUnits());
+}
+
+// --- Whole-layer decomposition record ----------------------------------
+
+std::int64_t counterValue(RunContext& ctx, const char* name) {
+  return ctx.metrics().counter(name).value();
+}
+
+/// Sum of fresh, record-free decompositions of the router's current layers.
+OverlayReport freshReport(const OverlayAwareRouter& router,
+                          const DecomposeOptions& base = {}) {
+  RunContext scratch;
+  DecomposeOptions opts = base;
+  opts.ctx = &scratch;
+  OverlayReport total;
+  for (int l = 0; l < router.grid().layers(); ++l) {
+    total += decomposeLayer(router.coloredFragments(l), router.grid().rules(),
+                            opts)
+                 .report;
+  }
+  return total;
+}
+
+TEST(Router, WholeLayerRecordComputesEachLayerStateOnce) {
+  const BenchmarkInstance inst =
+      makeBenchmark(paperBenchmark("Test1").scaled(0.05));
+  RoutingGrid grid = inst.grid;
+  RouterOptions opts;
+  opts.enableRepair = false;  // run() then makes no whole-layer request
+  RunContext ctx;
+  OverlayAwareRouter router(grid, inst.netlist, opts, &ctx);
+  router.run();
+  const int layers = grid.layers();
+  auto calls = [&] { return counterValue(ctx, "decompose.calls"); };
+
+  std::vector<std::uint64_t> freshFp;
+  {
+    RunContext scratch;
+    DecomposeOptions o;
+    o.ctx = &scratch;
+    for (int l = 0; l < layers; ++l) {
+      freshFp.push_back(maskFingerprint(
+          decomposeLayer(router.coloredFragments(l), grid.rules(), o)));
+    }
+  }
+
+  // physicalReport computes each layer once; decompose(l) then takes the
+  // planes that computation kept, and a repeated report computes nothing.
+  const std::int64_t c0 = calls();
+  EXPECT_EQ(router.physicalReport(), freshReport(router));
+  EXPECT_EQ(calls(), c0 + layers);
+  for (int l = 0; l < layers; ++l) {
+    EXPECT_EQ(maskFingerprint(router.decompose(l)), freshFp[l]) << l;
+  }
+  EXPECT_EQ(calls(), c0 + layers);
+  router.physicalReport();
+  EXPECT_EQ(calls(), c0 + layers);
+  // The planes were moved out: asking again computes them again.
+  EXPECT_EQ(maskFingerprint(router.decompose(0)), freshFp[0]);
+  EXPECT_EQ(calls(), c0 + layers + 1);
+
+  // A recolor changes one layer's list: only that layer is recomputed.
+  const NetId net = router.coloredFragments(0).front().frag.net;
+  OverlayConstraintGraph& g = router.model().graph(0);
+  const Color before = g.colorOf(net);
+  const Color printed = before == Color::Unassigned ? Color::Core : before;
+  g.setColor(net, flippedColor(printed));
+  std::int64_t c = calls();
+  EXPECT_EQ(router.physicalReport(), freshReport(router));
+  EXPECT_EQ(calls(), c + 1);
+  g.setColor(net, before);
+  c = calls();
+  const OverlayReport restored = router.physicalReport();
+  EXPECT_EQ(calls(), c + 1);
+  EXPECT_EQ(restored, freshReport(router));
+  EXPECT_EQ(maskFingerprint(router.decompose(0)), freshFp[0]);
+
+  // Removing and re-adding a net recomputes every layer it has metal on.
+  int netLayers = 0;
+  for (int l = 0; l < layers; ++l) {
+    netLayers += router.model().netFragments(net, l).empty() ? 0 : 1;
+  }
+  ASSERT_GT(netLayers, 0);
+  router.physicalReport();
+  router.model().removeNet(net);
+  c = calls();
+  EXPECT_EQ(router.physicalReport(), freshReport(router));
+  EXPECT_EQ(calls(), c + netLayers);
+  router.model().addNet(net, router.netStates()[std::size_t(net)].path);
+  c = calls();
+  EXPECT_EQ(router.physicalReport(), freshReport(router));
+  EXPECT_EQ(calls(), c + netLayers);
+
+  // Output-affecting options are part of the key; the context is not.
+  DecomposeOptions noAssists;
+  noAssists.insertAssists = false;
+  c = calls();
+  EXPECT_EQ(router.physicalReport(noAssists), freshReport(router, noAssists));
+  EXPECT_EQ(calls(), c + layers);
+  DecomposeOptions wide;
+  wide.margin = 400;
+  EXPECT_EQ(router.physicalReport(wide), freshReport(router, wide));
+  EXPECT_EQ(calls(), c + 2 * layers);
+  RunContext other;
+  DecomposeOptions otherCtx = wide;
+  otherCtx.ctx = &other;
+  router.physicalReport(otherCtx);
+  EXPECT_EQ(calls(), c + 2 * layers);
+  EXPECT_EQ(counterValue(other, "decompose.calls"), 0);
+}
+
+TEST(Router, WholeLayerRecordReusesRepairDecompositions) {
+  const BenchmarkInstance inst =
+      makeBenchmark(paperBenchmark("Test1").scaled(0.05));
+  RoutingGrid grid = inst.grid;
+  RunContext ctx;
+  OverlayAwareRouter router(grid, inst.netlist, {}, &ctx);
+  router.run();
+  const std::int64_t c0 = counterValue(ctx, "decompose.calls");
+  EXPECT_EQ(router.physicalReport(), freshReport(router));
+  RunContext scratch;
+  DecomposeOptions o;
+  o.ctx = &scratch;
+  for (int l = 0; l < grid.layers(); ++l) {
+    EXPECT_EQ(maskFingerprint(router.decompose(l)),
+              maskFingerprint(
+                  decomposeLayer(router.coloredFragments(l), grid.rules(), o)))
+        << l;
+  }
+  // The repair's last pass left each layer's record: at most one
+  // computation per layer between the sign-off report and the planes.
+  EXPECT_LE(counterValue(ctx, "decompose.calls") - c0, grid.layers());
+}
+
+TEST(Router, WholeLayerRecordHitSkipsCacheLookup) {
+  const BenchmarkInstance inst =
+      makeBenchmark(paperBenchmark("Test1").scaled(0.05));
+  RoutingGrid grid = inst.grid;
+  MaskCache cache;
+  RouterOptions opts;
+  opts.maskCache = &cache;
+  RunContext ctx;
+  OverlayAwareRouter router(grid, inst.netlist, opts, &ctx);
+  router.run();
+  const int layers = grid.layers();
+  std::vector<std::uint64_t> fps;
+  for (int l = 0; l < layers; ++l) {
+    const auto s = router.decomposeShared(l);
+    ASSERT_TRUE(s->maskFp.has_value());
+    fps.push_back(*s->maskFp);
+  }
+  const MaskCacheStats s0 = cache.stats();
+  const std::int64_t calls0 = counterValue(ctx, "decompose.calls");
+  const std::int64_t hits0 = counterValue(ctx, "mask_cache.hits");
+  EXPECT_EQ(router.physicalReport(), freshReport(router));
+  EXPECT_EQ(counterValue(ctx, "decompose.calls"), calls0);
+  EXPECT_EQ(counterValue(ctx, "mask_cache.hits"), hits0);
+  EXPECT_EQ(cache.stats().entries, s0.entries);
+  // A cached record keeps no planes; they are computed, and match the
+  // fingerprint the cache entry carries.
+  for (int l = 0; l < layers; ++l) {
+    EXPECT_EQ(maskFingerprint(router.decompose(l)), fps[l]) << l;
+  }
+  EXPECT_EQ(counterValue(ctx, "decompose.calls"), calls0 + layers);
+  // decompose() recorded cacheless states, which carry no fingerprint: a
+  // cached request is another key and goes back to the cache, which hits.
+  for (int l = 0; l < layers; ++l) {
+    const auto s = router.decomposeShared(l);
+    ASSERT_TRUE(s->maskFp.has_value());
+    EXPECT_EQ(*s->maskFp, fps[l]) << l;
+  }
+  EXPECT_EQ(counterValue(ctx, "decompose.calls"), calls0 + layers);
+  EXPECT_EQ(counterValue(ctx, "mask_cache.hits"), hits0 + layers);
 }
 
 }  // namespace
