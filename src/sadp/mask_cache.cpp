@@ -34,6 +34,7 @@ MaskCacheKey maskCacheKey(std::span<const ColoredFragment> frags,
                           const DesignRules& rules,
                           const DecomposeOptions& opts,
                           LayerRequest request) {
+  const DecomposeOutputOptions out = outputOptions(opts);
   Digest128 d;
   d.absorb(std::uint64_t(3));  // key schema version (3: + request kind)
   // Backend identity. Without this, a cache shared across backends would
@@ -42,7 +43,7 @@ MaskCacheKey maskCacheKey(std::span<const ColoredFragment> frags,
   // SADP backend absorb the same id on purpose — they produce identical
   // planes, so sharing their entries is correct (and the sadp2
   // byte-identity gate depends on the hit/miss sequence not changing).
-  d.absorb(opts.synth ? opts.synth->synthId() : kSadpCutSynthId);
+  d.absorb(out.synthId);
   d.absorb(std::uint64_t(frags.size()));
   for (const ColoredFragment& cf : frags) {
     d.absorb(cf.frag.xlo);
@@ -61,10 +62,10 @@ MaskCacheKey maskCacheKey(std::span<const ColoredFragment> frags,
   d.absorb(rules.dOverlap);
   // Output-affecting options only. tileWords (ignored) and ctx are
   // byte-identity-neutral (see header) and deliberately excluded.
-  d.absorb(opts.insertAssists);
-  d.absorb(opts.mergeCores);
-  d.absorb(opts.trimAssists);
-  d.absorb(opts.margin);
+  d.absorb(out.insertAssists);
+  d.absorb(out.mergeCores);
+  d.absorb(out.trimAssists);
+  d.absorb(out.margin);
   // Whole-layer entries carry a fingerprint and window entries do not, so
   // the two kinds never share an entry.
   d.absorb(std::uint64_t(request));
