@@ -289,6 +289,9 @@ const OverlayAwareRouter& routedInstance() {
   return *router;
 }
 
+/// A repeated sign-off report on an unchanged router. Every layer matches
+/// its whole-layer record, so this times what a request costs before any
+/// decomposition: building and comparing the colored-fragment lists.
 void BM_PhysicalReport(benchmark::State& state) {
   const OverlayAwareRouter& router = routedInstance();
   for (auto _ : state) {

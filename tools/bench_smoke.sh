@@ -148,11 +148,12 @@ else
   echo "bench_smoke: ASan fuzz gate skipped (BENCH_SMOKE_SKIP_ASAN=1)"
 fi
 
-# Perf gate: measure into a scratch JSON first and diff the search-core
-# benchmarks against the committed baseline. A >25% slowdown in any
-# BM_AStarRoute*, BM_ParityDsuUnite* or BM_NegotiatedRoute* entry aborts
-# before the baseline file is touched, so a regression can't silently
-# grandfather itself into BENCH_kernels.json.
+# Perf gate: measure into a scratch JSON first and diff the gated
+# benchmarks (gate_re: the search core plus raster extraction, whole-layer
+# decomposition and the sign-off report) against the committed baseline.
+# A >25% slowdown in any gated entry aborts before the baseline file is
+# touched, so a regression can't silently grandfather itself into
+# BENCH_kernels.json.
 #
 # Noise control: on a shared 1-CPU container single shots of these
 # µs-scale kernels swing well past 25% run to run. Container noise only
@@ -160,7 +161,7 @@ fi
 # --filter'ed) and each gated entry -- for both the comparison and the
 # values that get committed -- is the per-name minimum across the three
 # runs, which is a stable estimator of the true kernel cost.
-gate_re='^BM_(AStarRoute|ParityDsuUnite|NegotiatedRoute)'
+gate_re='^BM_(AStarRoute|ParityDsuUnite|NegotiatedRoute|RasterToNmRects|DecomposeLayer|PhysicalReport)'
 fresh="$scratch/bench_fresh.json"
 "$bench" --json "$fresh"
 "$bench" --filter "$gate_re" --json "$scratch/gate2.json"
@@ -199,8 +200,8 @@ EOF
 }
 extract_ns "$repo_root/BENCH_kernels.json" > "$scratch/base.txt"
 extract_ns "$fresh" > "$scratch/fresh.txt"
-awk 'NR == FNR { base[$1] = $2; next }
-     $1 ~ /^BM_(AStarRoute|ParityDsuUnite|NegotiatedRoute)/ &&
+awk -v gate="$gate_re" 'NR == FNR { base[$1] = $2; next }
+     $1 ~ gate &&
      ($1 in base) && base[$1] > 0 && $2 > 1.25 * base[$1] {
        printf "bench_smoke: %s regressed: %.0f ns vs baseline %.0f ns (>25%%)\n",
               $1, $2, base[$1] > "/dev/stderr"
@@ -210,10 +211,10 @@ awk 'NR == FNR { base[$1] = $2; next }
   # A baseline from another machine explains a "regression" on its own.
   print_host baseline "$repo_root/BENCH_kernels.json"
   print_host fresh "$fresh"
-  echo "bench_smoke: search-core perf gate failed; baseline left untouched" >&2
+  echo "bench_smoke: perf gate failed; baseline left untouched" >&2
   exit 1
 }
-echo "bench_smoke: search-core benchmarks within 25% of committed baseline"
+echo "bench_smoke: gated benchmarks within 25% of committed baseline"
 
 cp "$fresh" "$repo_root/BENCH_kernels.json"
 echo "bench_smoke: updated $repo_root/BENCH_kernels.json"
